@@ -3,7 +3,9 @@
 //   cxrun -np N [-ppn K] [-hosts h0,h1,...] ./program [args...]
 //
 // Starts N rank processes (fork/exec locally), runs the rendezvous root
-// they wire up through, and waits for all of them. Each child gets:
+// they wire up through, and waits for all of them. A rank that exits
+// before checking in (a failed exec, say) fails the job at once, with its
+// exit status reported. Each child gets:
 //
 //   CXRUN_RANK    its rank (0..N-1)
 //   CXRUN_NRANKS  N
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -135,27 +138,44 @@ int main(int argc, char** argv) {
     pids.push_back(pid);
   }
 
-  // Run the root exchange; a rank that dies before checking in times the
-  // exchange out, which we surface after reaping.
+  // Run the root exchange. While it waits for ranks to check in it polls
+  // the children, so a rank that dies first (failed exec, crash) ends the
+  // wireup at once instead of after the 30 s accept timeout.
+  std::vector<int> statuses(pids.size(), 0);
+  std::vector<bool> reaped(pids.size(), false);
+  const auto check_children = [&] {
+    for (std::size_t r = 0; r < pids.size(); ++r) {
+      if (reaped[r] || ::waitpid(pids[r], &statuses[r], WNOHANG) != pids[r]) {
+        continue;
+      }
+      reaped[r] = true;
+      throw std::runtime_error("rank " + std::to_string(r) +
+                               " ended before checking in");
+    }
+  };
   bool wireup_ok = true;
   try {
     cxnet::run_root_exchange(root.get(),
                              static_cast<std::uint32_t>(args.np),
-                             static_cast<std::uint32_t>(args.ppn));
+                             static_cast<std::uint32_t>(args.ppn), 30.0,
+                             check_children);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cxrun: wireup failed: %s\n", e.what());
     wireup_ok = false;
-    for (const pid_t p : pids) ::kill(p, SIGTERM);
+    for (std::size_t r = 0; r < pids.size(); ++r) {
+      if (!reaped[r]) ::kill(pids[r], SIGTERM);
+    }
   }
 
   int exit_code = wireup_ok ? 0 : 1;
   for (int r = 0; r < args.np; ++r) {
-    int status = 0;
-    if (::waitpid(pids[static_cast<std::size_t>(r)], &status, 0) < 0) {
+    const auto i = static_cast<std::size_t>(r);
+    if (!reaped[i] && ::waitpid(pids[i], &statuses[i], 0) < 0) {
       std::perror("cxrun: waitpid");
       exit_code = 1;
       continue;
     }
+    const int status = statuses[i];
     if (WIFSIGNALED(status)) {
       std::fprintf(stderr, "cxrun: rank %d killed by signal %d (%s)\n", r,
                    WTERMSIG(status), strsignal(WTERMSIG(status)));

@@ -4,9 +4,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "net/wireup.hpp"
@@ -26,10 +28,21 @@ constexpr std::uint64_t kDropInjected = 0;
 constexpr std::uint64_t kDropDuplicate = 1;
 constexpr std::uint64_t kDropDeadDst = 2;
 
+/// Bytes read per recv() outside a payload: enough for many small
+/// frames, or the head and first bytes of a large one (the rest of a
+/// large payload is read straight into its Message).
 constexpr std::size_t kReadChunk = 64 * 1024;
 /// How long the comm thread keeps flushing after the PE loops exit —
 /// long enough for the Stop broadcast and tail acks to reach peers.
 constexpr double kDrainGrace = 3.0;
+
+/// Payload bytes copied in user space on the way to a socket. The frame
+/// path copies none; the copies counted here are the ones cx::ft makes
+/// of remote sends (the pending copy, retransmits, injected duplicates).
+void count_tx_copy(std::size_t n) {
+  cx::trace::detail::g_wire.net_tx_copy_bytes.fetch_add(
+      n, std::memory_order_relaxed);
+}
 }  // namespace
 
 SocketMachine::SocketMachine(const MachineConfig& cfg)
@@ -184,7 +197,8 @@ void SocketMachine::deliver(MessagePtr msg) {
     enqueue(dst, std::move(msg));
     return;
   }
-  ship(pe_to_rank(dst), cxnet::encode_frame(*msg));
+  OutFrame f{cxnet::encode_header(*msg), std::move(msg)};
+  ship(pe_to_rank(dst), std::move(f));
 }
 
 void SocketMachine::send(MessagePtr msg) {
@@ -233,6 +247,7 @@ void SocketMachine::send(MessagePtr msg) {
       p.handler = msg->handler;
       p.dst_pe = dst;
       p.data = msg->data;
+      if (!is_local(dst)) count_tx_copy(p.data.size());
       p.size_override = msg->size_override;
       p.seq = seq;
       p.wire_flags = msg->wire_flags;
@@ -255,7 +270,10 @@ void SocketMachine::send(MessagePtr msg) {
                        kDropInjected, msg->ft_seq);
         return;
       }
-      if (d.dup) deliver(std::make_unique<Message>(*msg));
+      if (d.dup) {
+        if (!is_local(dst)) count_tx_copy(msg->data.size());
+        deliver(std::make_unique<Message>(*msg));
+      }
       if (d.extra_delay > 0.0 && is_local(dst)) {
         // Remote destinations skip injected latency (see header note).
         enqueue_delayed(dst, std::move(msg), now() + d.extra_delay);
@@ -412,7 +430,7 @@ void SocketMachine::request_stop(bool broadcast) {
 // ---------------------------------------------------------------------------
 // Comm thread: one epoll loop over the peer sockets + the wake pipe.
 
-void SocketMachine::ship(int rank, std::vector<std::byte> frame) {
+void SocketMachine::ship(int rank, OutFrame frame) {
   {
     std::lock_guard<std::mutex> lock(out_mutex_);
     Peer& p = peers_[static_cast<std::size_t>(rank)];
@@ -431,7 +449,7 @@ void SocketMachine::wake_comm() {
 void SocketMachine::broadcast_control(cxnet::ControlOp op, int pe) {
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
-    ship(r, cxnet::encode_control(op, pe, t_current_pe));
+    ship(r, OutFrame{cxnet::encode_control(op, pe, t_current_pe), nullptr});
   }
 }
 
@@ -447,17 +465,31 @@ bool SocketMachine::flush_peer(int rank) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
   if (!p.fd.valid()) return true;
   for (;;) {
-    std::vector<std::byte>* front = nullptr;
+    OutFrame* front = nullptr;
     {
       std::lock_guard<std::mutex> lock(out_mutex_);
       if (p.down) return true;
       if (p.outq.empty()) break;
       front = &p.outq.front();
     }
-    // Only the comm thread pops, so `front` stays valid unlocked.
-    const std::size_t left = front->size() - p.out_off;
-    const ssize_t w = ::send(p.fd.get(), front->data() + p.out_off, left,
-                             MSG_NOSIGNAL);
+    // Only the comm thread pops, so `front` stays valid unlocked. One
+    // gathered write covers what is left of the head and of the payload,
+    // which goes out straight from the Message's buffer.
+    const std::size_t head = front->head.size();
+    const std::size_t body = front->msg ? front->msg->data.size() : 0;
+    iovec iov[2];
+    std::size_t niov = 0;
+    if (p.out_off < head) {
+      iov[niov++] = {front->head.data() + p.out_off, head - p.out_off};
+    }
+    const std::size_t body_off = p.out_off > head ? p.out_off - head : 0;
+    if (body_off < body) {
+      iov[niov++] = {front->msg->data.data() + body_off, body - body_off};
+    }
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = niov;
+    const ssize_t w = ::sendmsg(p.fd.get(), &mh, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -474,9 +506,11 @@ bool SocketMachine::flush_peer(int rank) {
       return false;
     }
     p.out_off += static_cast<std::size_t>(w);
-    if (p.out_off == front->size()) {
+    if (p.out_off == head + body) {
       p.out_off = 0;
+      MessagePtr sent;  // declared before the lock: freed after unlocking
       std::lock_guard<std::mutex> lock(out_mutex_);
+      sent = std::move(p.outq.front().msg);
       p.outq.pop_front();
     }
   }
@@ -490,41 +524,91 @@ bool SocketMachine::flush_peer(int rank) {
   return true;
 }
 
-void SocketMachine::handle_frame(int rank, const cxnet::Frame& f) {
+void SocketMachine::read_peer(int rank) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  std::byte chunk[kReadChunk];
+  for (;;) {
+    // Mid-payload, read straight into the frame's Message; otherwise
+    // read a chunk (small frames, or a large frame's head).
+    const std::span<std::byte> window = p.reader.payload_window();
+    const bool in_place = !window.empty();
+    std::byte* dst = in_place ? window.data() : chunk;
+    const std::size_t want = in_place ? window.size() : sizeof(chunk);
+    const ssize_t r = ::recv(p.fd.get(), dst, want, 0);
+    if (r > 0) {
+      const auto got = static_cast<std::size_t>(r);
+      if (in_place) p.reader.commit(got);
+      if (!drain_frames(rank, chunk, in_place ? 0 : got)) return;
+      if (got < want) return;  // the socket is drained
+      continue;
+    }
+    if (r == 0) {
+      peer_down(rank, "connection closed by peer");
+      return;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      peer_down(rank, std::string("recv failed: ") + std::strerror(errno));
+    }
+    return;
+  }
+}
+
+bool SocketMachine::drain_frames(int rank, const std::byte* p,
+                                 std::size_t n) {
+  cxnet::FrameReader& reader = peers_[static_cast<std::size_t>(rank)].reader;
+  for (;;) {
+    cxnet::Frame f;
+    switch (reader.next(p, n, f)) {
+      case cxnet::FrameReader::Status::Frame:
+        handle_frame(rank, std::move(f));
+        break;
+      case cxnet::FrameReader::Status::NeedMore:
+        return true;
+      case cxnet::FrameReader::Status::Error:
+        peer_down(rank, "protocol violation: " + reader.error());
+        return false;
+    }
+  }
+}
+
+void SocketMachine::handle_frame(int rank, cxnet::Frame f) {
+  Message& m = *f.msg;
   if (f.kind == cxnet::FrameKind::Control) {
-    switch (static_cast<cxnet::ControlOp>(f.handler)) {
+    switch (static_cast<cxnet::ControlOp>(m.handler)) {
       case cxnet::ControlOp::Stop:
         request_stop(false);
         return;
       case cxnet::ControlOp::Kill:
-        apply_kill(f.dst_pe);
+        apply_kill(m.dst_pe);
         return;
       case cxnet::ControlOp::Hang:
-        apply_hang(f.dst_pe);
+        apply_hang(m.dst_pe);
         return;
       case cxnet::ControlOp::Revive:
-        apply_revive(f.dst_pe);
+        apply_revive(m.dst_pe);
         return;
     }
-    CX_LOG_ERROR("rank ", rank, " sent unknown control opcode ", f.handler);
+    CX_LOG_ERROR("rank ", rank, " sent unknown control opcode ", m.handler);
     return;
   }
-  if (!is_local(f.dst_pe)) {
-    CX_LOG_ERROR("rank ", rank, " misrouted a frame for PE ", f.dst_pe);
+  if (!is_local(m.dst_pe)) {
+    CX_LOG_ERROR("rank ", rank, " misrouted a frame for PE ", m.dst_pe);
     return;
   }
-  enqueue(f.dst_pe, cxnet::frame_to_message(f));
+  enqueue(m.dst_pe, std::move(f.msg));
 }
 
 void SocketMachine::peer_down(int rank, const std::string& why) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  std::deque<OutFrame> dropped;  // freed after the lock is released
   {
     std::lock_guard<std::mutex> lock(out_mutex_);
-    Peer& p = peers_[static_cast<std::size_t>(rank)];
     if (p.down) return;
     p.down = true;
-    p.outq.clear();
+    dropped.swap(p.outq);
   }
-  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  p.reader = cxnet::FrameReader{};  // frees a partly received Message
   if (p.fd.valid()) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, p.fd.get(), nullptr);
     p.fd.reset();
@@ -549,7 +633,6 @@ void SocketMachine::comm_loop() {
   cxu::set_log_pe(-1);
   double drain_deadline = -1.0;
   epoll_event events[64];
-  std::byte buf[kReadChunk];
   for (;;) {
     // Push pending output first: PE threads only queue + wake.
     for (int r = 0; r < nranks_; ++r) {
@@ -580,7 +663,6 @@ void SocketMachine::comm_loop() {
         }
       }
       if (rank < 0) continue;  // raced with peer_down
-      Peer& p = peers_[static_cast<std::size_t>(rank)];
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
           (events[i].events & EPOLLIN) == 0) {
         peer_down(rank, "socket error/hangup");
@@ -589,40 +671,7 @@ void SocketMachine::comm_loop() {
       if ((events[i].events & EPOLLOUT) != 0) {
         if (!flush_peer(rank)) continue;
       }
-      if ((events[i].events & EPOLLIN) == 0) continue;
-      bool dead = false;
-      for (;;) {
-        const ssize_t r = ::recv(p.fd.get(), buf, sizeof(buf), 0);
-        if (r > 0) {
-          p.reader.feed(buf, static_cast<std::size_t>(r));
-          cxnet::Frame f;
-          for (;;) {
-            const auto st = p.reader.next(f);
-            if (st == cxnet::FrameReader::Status::Frame) {
-              handle_frame(rank, f);
-              continue;
-            }
-            if (st == cxnet::FrameReader::Status::Error) {
-              peer_down(rank, "protocol violation: " + p.reader.error());
-              dead = true;
-            }
-            break;
-          }
-          if (dead) break;
-          if (r < static_cast<ssize_t>(sizeof(buf))) break;
-          continue;
-        }
-        if (r == 0) {
-          peer_down(rank, "connection closed by peer");
-          dead = true;
-          break;
-        }
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        peer_down(rank, std::string("recv failed: ") + std::strerror(errno));
-        dead = true;
-        break;
-      }
+      if ((events[i].events & EPOLLIN) != 0) read_peer(rank);
     }
   }
 }
@@ -666,6 +715,7 @@ void SocketMachine::retransmit_due(int pe, FtPeState& me) {
     }
     me.sw.arm(e.dst, e.seq, p.deadline);
     auto copy = cx::wire::clone_payload(p.handler, p.dst_pe, p.data);
+    if (!is_local(p.dst_pe)) count_tx_copy(p.data.size());
     copy->size_override = p.size_override;
     copy->ft_seq = p.seq;
     copy->ft_flags = kFtReliable | kFtRetransmit;

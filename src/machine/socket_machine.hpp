@@ -88,13 +88,20 @@ class SocketMachine final : public Machine {
     cx::ft::ReceiverWindow rw;
   };
 
+  /// One queued frame: its head, then the payload straight from the
+  /// Message's own buffer (control frames have no Message).
+  struct OutFrame {
+    cxnet::FrameHead head;
+    MessagePtr msg;
+  };
+
   /// One peer rank's connection. `outq`/`down` are guarded by
   /// out_mutex_ (producers are PE threads, consumer is the comm
   /// thread); everything else is comm-thread-only.
   struct Peer {
     cxnet::Fd fd;
     cxnet::FrameReader reader;
-    std::deque<std::vector<std::byte>> outq;
+    std::deque<OutFrame> outq;
     std::size_t out_off = 0;   ///< bytes of outq.front() already written
     bool want_write = false;   ///< EPOLLOUT currently armed
     bool down = false;
@@ -120,13 +127,19 @@ class SocketMachine final : public Machine {
 
   // ---- comm thread --------------------------------------------------------
   void comm_loop();
-  void ship(int rank, std::vector<std::byte> frame);
+  void ship(int rank, OutFrame frame);
   void wake_comm();
   void broadcast_control(cxnet::ControlOp op, int pe);
   /// Write as much of `p`'s outq as the socket accepts; arms/disarms
   /// EPOLLOUT. Comm thread only. Returns false if the peer broke.
   bool flush_peer(int rank);
-  void handle_frame(int rank, const cxnet::Frame& f);
+  /// Read what `rank`'s socket holds, straight into the open frame's
+  /// Message while one is mid-payload. Comm thread only.
+  void read_peer(int rank);
+  /// Hand every frame completed by [p, p + n) to handle_frame. Returns
+  /// false when a protocol violation dropped the peer.
+  bool drain_frames(int rank, const std::byte* p, std::size_t n);
+  void handle_frame(int rank, cxnet::Frame f);
   void peer_down(int rank, const std::string& why);
   [[nodiscard]] bool all_out_drained();
 

@@ -1,8 +1,11 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+
+#include "trace/trace.hpp"
 
 namespace cxnet {
 
@@ -43,7 +46,7 @@ void write_header(std::byte* h, FrameKind kind, std::uint8_t ft_flags,
 
 }  // namespace
 
-std::vector<std::byte> encode_frame(const cxm::Message& m) {
+FrameHead encode_header(const cxm::Message& m) {
   if (m.local != nullptr) {
     // By-reference payloads are the same-process fast path; the location
     // layer must never route one toward a socket.
@@ -54,88 +57,97 @@ std::vector<std::byte> encode_frame(const cxm::Message& m) {
     throw std::length_error("cxnet: frame exceeds kMaxFrameBytes (" +
                             std::to_string(body) + " bytes)");
   }
-  std::vector<std::byte> out(sizeof(std::uint32_t) + body);
-  put<std::uint32_t>(out.data(), 0, static_cast<std::uint32_t>(body));
-  write_header(out.data() + sizeof(std::uint32_t), FrameKind::Data, m.ft_flags,
+  FrameHead h{};
+  put<std::uint32_t>(h.data(), 0, static_cast<std::uint32_t>(body));
+  write_header(h.data() + sizeof(std::uint32_t), FrameKind::Data, m.ft_flags,
                m.wire_flags, m.handler, m.src_pe, m.dst_pe, m.ft_peer,
                m.ft_seq, m.size_override);
-  if (!m.data.empty()) {
-    std::memcpy(out.data() + sizeof(std::uint32_t) + kFrameHeaderBytes,
-                m.data.data(), m.data.size());
-  }
-  return out;
+  return h;
 }
 
-std::vector<std::byte> encode_control(ControlOp op, std::int32_t dst_pe,
-                                      std::int32_t src_pe) {
-  std::vector<std::byte> out(sizeof(std::uint32_t) + kFrameHeaderBytes);
-  put<std::uint32_t>(out.data(), 0,
+FrameHead encode_control(ControlOp op, std::int32_t dst_pe,
+                         std::int32_t src_pe) {
+  FrameHead h{};
+  put<std::uint32_t>(h.data(), 0,
                      static_cast<std::uint32_t>(kFrameHeaderBytes));
-  write_header(out.data() + sizeof(std::uint32_t), FrameKind::Control, 0, 0,
+  write_header(h.data() + sizeof(std::uint32_t), FrameKind::Control, 0, 0,
                static_cast<std::uint32_t>(op), src_pe, dst_pe, -1, 0, 0);
-  return out;
+  return h;
 }
 
-cxm::MessagePtr frame_to_message(const Frame& f) {
-  auto m = std::make_unique<cxm::Message>();
-  m->handler = f.handler;
-  m->src_pe = f.src_pe;
-  m->dst_pe = f.dst_pe;
-  m->ft_peer = f.ft_peer;
-  m->ft_seq = f.ft_seq;
-  m->ft_flags = f.ft_flags;
-  m->wire_flags = f.wire_flags;
-  m->size_override = f.size_override;
-  if (f.payload_len > 0) m->data.assign(f.payload, f.payload_len);
-  return m;
-}
-
-void FrameReader::feed(const std::byte* p, std::size_t n) {
-  if (failed()) return;
-  // Compact consumed bytes before appending so the buffer stays bounded
-  // by (one partial frame + whatever the socket just produced).
-  if (head_ > 0) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  buf_.insert(buf_.end(), p, p + n);
-}
-
-FrameReader::Status FrameReader::next(Frame& out) {
+FrameReader::Status FrameReader::next(const std::byte*& p, std::size_t& n,
+                                      Frame& out) {
   if (failed()) return Status::Error;
-  const std::size_t avail = buf_.size() - head_;
-  if (avail < sizeof(std::uint32_t)) return Status::NeedMore;
-  const auto len = get<std::uint32_t>(buf_.data(), head_);
-  // Validate the prefix BEFORE waiting for (or allocating) that many
-  // bytes: a hostile/corrupt length is rejected from the 4-byte prefix
-  // alone, so it can neither OOM nor stall the connection.
-  if (len < kFrameHeaderBytes || len > max_frame_) {
-    error_ = "bad frame length prefix " + std::to_string(len) +
-             " (valid: " + std::to_string(kFrameHeaderBytes) + ".." +
-             std::to_string(max_frame_) + ")";
-    return Status::Error;
+  if (msg_ == nullptr) {
+    // The head collects in a fixed array. The 4-byte prefix is taken on
+    // its own and validated first: a hostile or corrupt length is
+    // rejected before anything is allocated or waited for.
+    while (head_have_ < kFrameHeadBytes) {
+      if (n == 0) return Status::NeedMore;
+      const std::size_t upto = head_have_ < sizeof(std::uint32_t)
+                                   ? sizeof(std::uint32_t)
+                                   : kFrameHeadBytes;
+      const std::size_t take = std::min(n, upto - head_have_);
+      std::memcpy(head_.data() + head_have_, p, take);
+      head_have_ += take;
+      p += take;
+      n -= take;
+      if (head_have_ != sizeof(std::uint32_t)) continue;
+      const auto len = get<std::uint32_t>(head_.data(), 0);
+      if (len < kFrameHeaderBytes || len > max_frame_) {
+        error_ = "bad frame length prefix " + std::to_string(len) +
+                 " (valid: " + std::to_string(kFrameHeaderBytes) + ".." +
+                 std::to_string(max_frame_) + ")";
+        return Status::Error;
+      }
+    }
+    if (!begin_frame()) return Status::Error;
   }
-  if (avail < sizeof(std::uint32_t) + len) return Status::NeedMore;
-  const std::byte* h = buf_.data() + head_ + sizeof(std::uint32_t);
+  // Payload bytes that arrived together with the head; the caller reads
+  // the rest straight into payload_window().
+  const std::size_t take = std::min(n, msg_->data.size() - have_);
+  if (take > 0) {
+    std::memcpy(msg_->data.data() + have_, p, take);
+    have_ += take;
+    p += take;
+    n -= take;
+    cx::trace::detail::g_wire.net_rx_copy_bytes.fetch_add(
+        take, std::memory_order_relaxed);
+  }
+  if (have_ < msg_->data.size()) return Status::NeedMore;
+  out.kind = kind_;
+  out.msg = std::move(msg_);
+  head_have_ = 0;
+  have_ = 0;
+  return Status::Frame;
+}
+
+std::span<std::byte> FrameReader::payload_window() noexcept {
+  if (msg_ == nullptr) return {};
+  return {msg_->data.data() + have_, msg_->data.size() - have_};
+}
+
+bool FrameReader::begin_frame() {
+  const std::byte* h = head_.data() + sizeof(std::uint32_t);
   const auto kind = get<std::uint8_t>(h, 0);
   if (kind > static_cast<std::uint8_t>(FrameKind::Control)) {
     error_ = "unknown frame kind " + std::to_string(kind);
-    return Status::Error;
+    return false;
   }
-  out.kind = static_cast<FrameKind>(kind);
-  out.ft_flags = get<std::uint8_t>(h, 1);
-  out.wire_flags = get<std::uint8_t>(h, 2);
-  out.handler = get<std::uint32_t>(h, 4);
-  out.src_pe = get<std::int32_t>(h, 8);
-  out.dst_pe = get<std::int32_t>(h, 12);
-  out.ft_peer = get<std::int32_t>(h, 16);
-  out.ft_seq = get<std::uint64_t>(h, 20);
-  out.size_override = get<std::uint64_t>(h, 28);
-  out.payload = h + kFrameHeaderBytes;
-  out.payload_len = len - kFrameHeaderBytes;
-  head_ += sizeof(std::uint32_t) + len;
-  return Status::Frame;
+  kind_ = static_cast<FrameKind>(kind);
+  auto m = std::make_unique<cxm::Message>();
+  m->ft_flags = get<std::uint8_t>(h, 1);
+  m->wire_flags = get<std::uint8_t>(h, 2);
+  m->handler = get<std::uint32_t>(h, 4);
+  m->src_pe = get<std::int32_t>(h, 8);
+  m->dst_pe = get<std::int32_t>(h, 12);
+  m->ft_peer = get<std::int32_t>(h, 16);
+  m->ft_seq = get<std::uint64_t>(h, 20);
+  m->size_override = get<std::uint64_t>(h, 28);
+  m->data.resize_discard(get<std::uint32_t>(head_.data(), 0) -
+                         kFrameHeaderBytes);
+  msg_ = std::move(m);
+  return true;
 }
 
 void encode_handshake(const Handshake& h, std::byte out[kHandshakeBytes]) {

@@ -24,11 +24,19 @@
 // magic, a format version, an endianness probe and the primitive
 // widths; mismatched peers are rejected with a clear error rather than
 // silently corrupting (full byte-swapping support is out of scope).
+//
+// Neither side accumulates the payload in a staging buffer. The sender
+// writes the 40-byte head (prefix + header) and then the Message's own
+// pooled buffer with one gathered write; the reader allocates the
+// destination Message as soon as a head is validated and fills its
+// buffer in place (only payload bytes that came in the same read as the
+// head are copied).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "machine/message.hpp"
 
@@ -37,11 +45,16 @@ namespace cxnet {
 // ---- frame ---------------------------------------------------------------
 
 inline constexpr std::size_t kFrameHeaderBytes = 36;  ///< after the u32 len
+/// Length prefix plus header: the fixed head that starts every frame.
+inline constexpr std::size_t kFrameHeadBytes =
+    sizeof(std::uint32_t) + kFrameHeaderBytes;
 /// Upper bound on a single frame (header + payload). A length prefix
-/// beyond this is a protocol violation and closes the connection —
-/// the reader never allocates based on the prefix, so a hostile
+/// beyond this is a protocol violation and closes the connection — the
+/// reader checks the prefix before it allocates anything, so a hostile
 /// 0xffffffff cannot OOM the process.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
+
+using FrameHead = std::array<std::byte, kFrameHeadBytes>;
 
 enum class FrameKind : std::uint8_t { Data = 0, Control = 1 };
 
@@ -53,36 +66,28 @@ enum class ControlOp : std::uint32_t {
   Revive = 3,  ///< revive_pe(dst_pe)
 };
 
-/// A decoded frame. `payload` points into the FrameReader's buffer and
-/// stays valid until the next feed() call.
+/// Head of the data frame carrying `m`, length prefix included. The
+/// payload follows on the wire straight from m.data.
+FrameHead encode_header(const cxm::Message& m);
+
+/// A complete control frame (control frames carry no payload).
+FrameHead encode_control(ControlOp op, std::int32_t dst_pe,
+                         std::int32_t src_pe);
+
+/// A decoded frame. `msg` carries every header field and the payload;
+/// for a control frame `msg->handler` is the ControlOp.
 struct Frame {
   FrameKind kind = FrameKind::Data;
-  std::uint8_t ft_flags = 0;
-  std::uint8_t wire_flags = 0;
-  std::uint32_t handler = 0;
-  std::int32_t src_pe = -1;
-  std::int32_t dst_pe = 0;
-  std::int32_t ft_peer = -1;
-  std::uint64_t ft_seq = 0;
-  std::uint64_t size_override = 0;
-  const std::byte* payload = nullptr;
-  std::size_t payload_len = 0;
+  cxm::MessagePtr msg;
 };
 
-/// Serialize a Message (data frame) — length prefix included.
-std::vector<std::byte> encode_frame(const cxm::Message& m);
-
-/// Serialize a control frame.
-std::vector<std::byte> encode_control(ControlOp op, std::int32_t dst_pe,
-                                      std::int32_t src_pe);
-
-/// Rebuild a pooled Message from a decoded data frame (copies payload).
-cxm::MessagePtr frame_to_message(const Frame& f);
-
-/// Incremental frame decoder over a TCP byte stream. Feed whatever the
-/// socket produced; next() yields complete frames. Violations (bad
-/// length prefix) put the reader in a sticky error state — the caller
-/// must drop the connection.
+/// Incremental frame decoder over a TCP byte stream. Once a frame's
+/// head is validated, the reader allocates the frame's Message at full
+/// payload size and fills its buffer: from bytes the caller already
+/// read (next()), or by the caller reading the socket straight into
+/// payload_window(). Violations (bad length prefix, unknown kind) put
+/// the reader in a sticky error state — the caller must drop the
+/// connection.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_frame = kMaxFrameBytes)
@@ -90,23 +95,33 @@ class FrameReader {
 
   enum class Status { Frame, NeedMore, Error };
 
-  void feed(const std::byte* p, std::size_t n);
+  /// Consume stream bytes from [p, p + n), advancing `p` and `n`.
+  /// Returns Frame as soon as one frame is complete (the bytes after it
+  /// stay in [p, p + n) for the next call), NeedMore once the input
+  /// ends mid-frame, Error on a protocol violation.
+  Status next(const std::byte*& p, std::size_t& n, Frame& out);
 
-  /// Extract the next complete frame. On Status::Frame, `out.payload`
-  /// stays valid until the next feed().
-  Status next(Frame& out);
+  /// The unfilled rest of the current frame's payload, for reading the
+  /// socket straight into it; empty outside a payload.
+  [[nodiscard]] std::span<std::byte> payload_window() noexcept;
+
+  /// Account `n` bytes written into payload_window(); next() yields the
+  /// frame once its payload is full.
+  void commit(std::size_t n) noexcept { have_ += n; }
 
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
-  /// Bytes buffered but not yet consumed (a mid-frame EOF leaves some).
-  [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return buf_.size() - head_;
-  }
 
  private:
+  /// A head is complete: check its kind and allocate its Message.
+  bool begin_frame();
+
   std::size_t max_frame_;
-  std::vector<std::byte> buf_;
-  std::size_t head_ = 0;
+  FrameHead head_{};
+  std::size_t head_have_ = 0;  ///< head bytes received so far
+  FrameKind kind_ = FrameKind::Data;
+  cxm::MessagePtr msg_;        ///< frame being filled (its head is done)
+  std::size_t have_ = 0;       ///< payload bytes in msg_->data so far
   std::string error_;
 };
 

@@ -1,9 +1,9 @@
 #include "net/socket_util.hpp"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <ctime>
 #include <fcntl.h>
@@ -100,15 +100,27 @@ Fd tcp_connect(const std::string& host, std::uint16_t port, double timeout_s) {
   }
 }
 
-Fd accept_conn(int listen_fd, double timeout_s, std::string* peer_ip) {
-  pollfd pfd{listen_fd, POLLIN, 0};
-  const int ms = static_cast<int>(std::lround(timeout_s * 1000.0));
-  const int rc = ::poll(&pfd, 1, ms);
-  if (rc == 0) {
-    throw std::runtime_error("cxnet: accept timed out after " +
-                             std::to_string(timeout_s) + "s");
+Fd accept_conn(int listen_fd, double timeout_s, std::string* peer_ip,
+               const std::function<void()>& while_waiting) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  for (;;) {
+    const long long left_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now())
+            .count();
+    if (left_ms <= 0) {
+      throw std::runtime_error("cxnet: accept timed out after " +
+                               std::to_string(timeout_s) + "s");
+    }
+    pollfd pfd{listen_fd, POLLIN, 0};
+    const int rc = ::poll(
+        &pfd, 1,
+        static_cast<int>(while_waiting ? std::min(left_ms, 100LL) : left_ms));
+    if (rc > 0) break;
+    if (rc < 0 && errno != EINTR) die("poll(accept)");
+    if (while_waiting) while_waiting();
   }
-  if (rc < 0) die("poll(accept)");
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
   Fd fd(::accept(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len));

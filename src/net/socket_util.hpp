@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace cxnet {
@@ -47,8 +48,11 @@ Fd tcp_connect(const std::string& host, std::uint16_t port,
                double timeout_s = 20.0);
 
 /// Accept one connection, waiting at most `timeout_s`. Returns the
-/// connected fd and fills `peer_ip` (dotted quad) when non-null.
-Fd accept_conn(int listen_fd, double timeout_s, std::string* peer_ip = nullptr);
+/// connected fd and fills `peer_ip` (dotted quad) when non-null. While
+/// it waits, `while_waiting` (when set) runs about every 100 ms; an
+/// exception it throws abandons the accept.
+Fd accept_conn(int listen_fd, double timeout_s, std::string* peer_ip = nullptr,
+               const std::function<void()>& while_waiting = {});
 
 /// Blocking exact-count I/O (wireup only). Throw on EOF/error/timeout;
 /// the socket should carry a SO_RCVTIMEO/SO_SNDTIMEO for bootstrap use.

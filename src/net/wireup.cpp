@@ -35,7 +35,8 @@ std::string ip_str(std::uint32_t host_order) {
 }  // namespace
 
 void run_root_exchange(int listen_fd, std::uint32_t nranks, std::uint32_t ppn,
-                       double timeout_s) {
+                       double timeout_s,
+                       const std::function<void()>& while_waiting) {
   Handshake root_view;  // what every rank's hello must agree with
   root_view.nranks = nranks;
   root_view.ppn = ppn;
@@ -45,7 +46,7 @@ void run_root_exchange(int listen_fd, std::uint32_t nranks, std::uint32_t ppn,
   std::vector<bool> seen(nranks, false);
   for (std::uint32_t i = 0; i < nranks; ++i) {
     std::string peer_ip;
-    Fd fd = accept_conn(listen_fd, timeout_s, &peer_ip);
+    Fd fd = accept_conn(listen_fd, timeout_s, &peer_ip, while_waiting);
     set_timeout(fd.get(), timeout_s);
     std::byte hello[kHandshakeBytes + 2];
     recv_all(fd.get(), hello, sizeof(hello));

@@ -19,6 +19,7 @@
 //      early connectors.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,8 +36,12 @@ struct Endpoint {
 /// Root side of step 1-2: accept `nranks` hellos on `listen_fd`,
 /// validate, reply the endpoint table to each. Throws on any protocol
 /// violation (naming the offending rank/host where possible).
+/// `while_waiting` runs about every 100 ms while no rank is connecting
+/// (cxrun checks its children there); an exception it throws abandons
+/// the exchange.
 void run_root_exchange(int listen_fd, std::uint32_t nranks, std::uint32_t ppn,
-                       double timeout_s = 30.0);
+                       double timeout_s = 30.0,
+                       const std::function<void()>& while_waiting = {});
 
 /// Rank side of step 1-2: rendezvous with the root and return the full
 /// endpoint table (indexed by rank; our own entry included).

@@ -153,6 +153,8 @@ WireStats wire_stats() noexcept {
   s.agg_flush_count = w.agg_flush_count.load(std::memory_order_relaxed);
   s.agg_flush_idle = w.agg_flush_idle.load(std::memory_order_relaxed);
   s.agg_flush_order = w.agg_flush_order.load(std::memory_order_relaxed);
+  s.net_tx_copy_bytes = w.net_tx_copy_bytes.load(std::memory_order_relaxed);
+  s.net_rx_copy_bytes = w.net_rx_copy_bytes.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -176,6 +178,8 @@ void reset_wire_stats() noexcept {
   w.agg_flush_count.store(0, std::memory_order_relaxed);
   w.agg_flush_idle.store(0, std::memory_order_relaxed);
   w.agg_flush_order.store(0, std::memory_order_relaxed);
+  w.net_tx_copy_bytes.store(0, std::memory_order_relaxed);
+  w.net_rx_copy_bytes.store(0, std::memory_order_relaxed);
 }
 
 SectionStats section_stats() noexcept {
@@ -765,7 +769,9 @@ void write_json(std::ostream& os) {
      << ",\"agg_flush_bytes\":" << w.agg_flush_bytes
      << ",\"agg_flush_count\":" << w.agg_flush_count
      << ",\"agg_flush_idle\":" << w.agg_flush_idle
-     << ",\"agg_flush_order\":" << w.agg_flush_order << "}";
+     << ",\"agg_flush_order\":" << w.agg_flush_order
+     << ",\"net_tx_copy_bytes\":" << w.net_tx_copy_bytes
+     << ",\"net_rx_copy_bytes\":" << w.net_rx_copy_bytes << "}";
   const SectionStats sect = section_stats();
   os << ",\"sections\":{\"sections_built\":" << sect.sections_built
      << ",\"tree_repairs\":" << sect.tree_repairs

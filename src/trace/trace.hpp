@@ -186,6 +186,13 @@ struct WireStats {
   std::uint64_t agg_flush_idle = 0;   ///< seals: idle scheduler / DES timer
   std::uint64_t agg_flush_order = 0;  ///< seals: ordering (bypass/class switch)
 
+  // Socket backend: payload bytes copied in user space on the way to
+  // (tx) or from (rx) a socket. The frame path itself copies nothing on
+  // send and at most one read chunk per received frame; tx also counts
+  // the reliable-delivery and injected-duplicate copies of remote sends.
+  std::uint64_t net_tx_copy_bytes = 0;
+  std::uint64_t net_rx_copy_bytes = 0;
+
   /// Mean messages per sealed batch (0 when no batches were sealed).
   [[nodiscard]] double msgs_per_batch() const noexcept {
     return agg_batches > 0 ? static_cast<double>(agg_msgs) /
@@ -388,6 +395,8 @@ struct WireAtomics {
   std::atomic<std::uint64_t> agg_flush_count{0};
   std::atomic<std::uint64_t> agg_flush_idle{0};
   std::atomic<std::uint64_t> agg_flush_order{0};
+  std::atomic<std::uint64_t> net_tx_copy_bytes{0};
+  std::atomic<std::uint64_t> net_rx_copy_bytes{0};
 };
 extern WireAtomics g_wire;
 }  // namespace detail

@@ -40,7 +40,7 @@ constexpr std::size_t class_size(int cls) {
 }
 
 /// Size class serving `size` bytes, or -1 when the request is above
-/// kMaxBlock (exact allocation, never recycled).
+/// kMaxBlock (a large block).
 int class_for_request(std::size_t size) {
   if (size > kMaxBlock) return -1;
   int cls = 0;
@@ -49,7 +49,7 @@ int class_for_request(std::size_t size) {
 }
 
 /// Class a block of capacity `cap` belongs to, or -1 when `cap` is not
-/// a pool class size (the block came from the exact-size path).
+/// a pool class size (a large block).
 int class_for_capacity(std::size_t cap) {
   if (cap < kMinBlock || cap > kMaxBlock) return -1;
   if ((cap & (cap - 1)) != 0) return -1;
@@ -70,6 +70,15 @@ struct GlobalStore {
     std::vector<std::byte*> blocks;
   };
   ClassList cls[kNumClasses];
+
+  /// Blocks above kMaxBlock, shared by every thread; `bytes` (the sum
+  /// of their capacities) never exceeds kLargeCacheBytes.
+  struct LargeList {
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::byte*>> blocks;  ///< (cap, block)
+    std::size_t bytes = 0;
+  };
+  LargeList large;
 };
 
 GlobalStore& global_store() {
@@ -143,14 +152,52 @@ bool put_cached(int cls, std::byte* p) {
   return true;
 }
 
+/// Take the smallest cached large block whose capacity is in
+/// [*cap, 2 * *cap), updating *cap to it; nullptr when there is none.
+std::byte* take_large(std::size_t* cap) {
+  auto& l = global_store().large;
+  std::lock_guard<std::mutex> lock(l.mutex);
+  auto best = l.blocks.end();
+  for (auto it = l.blocks.begin(); it != l.blocks.end(); ++it) {
+    if (it->first >= *cap && it->first < 2 * *cap &&
+        (best == l.blocks.end() || it->first < best->first)) {
+      best = it;
+    }
+  }
+  if (best == l.blocks.end()) return nullptr;
+  std::byte* p = best->second;
+  *cap = best->first;
+  l.bytes -= best->first;
+  *best = l.blocks.back();
+  l.blocks.pop_back();
+  return p;
+}
+
+/// Cache a large block; false when it would exceed kLargeCacheBytes
+/// (caller frees to the system).
+bool put_large(std::byte* p, std::size_t cap) {
+  auto& l = global_store().large;
+  std::lock_guard<std::mutex> lock(l.mutex);
+  if (l.bytes + cap > kLargeCacheBytes) return false;
+  l.blocks.emplace_back(cap, p);
+  l.bytes += cap;
+  return true;
+}
+
 }  // namespace
 
 std::byte* alloc_block(std::size_t size, std::size_t* cap) {
   const int cls = class_for_request(size);
   if (cls < 0) {
-    *cap = size;
+    *cap = (size + kLargeGrain - 1) / kLargeGrain * kLargeGrain;
+    if (g_pool_enabled.load(std::memory_order_relaxed)) {
+      if (std::byte* p = take_large(cap)) {
+        g_wire.buf_hits.fetch_add(1, std::memory_order_relaxed);
+        return p;
+      }
+    }
     g_wire.buf_allocs.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<std::byte*>(::operator new(size));
+    return static_cast<std::byte*>(::operator new(*cap));
   }
   *cap = class_size(cls);
   if (g_pool_enabled.load(std::memory_order_relaxed)) {
@@ -165,11 +212,12 @@ std::byte* alloc_block(std::size_t size, std::size_t* cap) {
 
 void free_block(std::byte* p, std::size_t cap) noexcept {
   if (p == nullptr) return;
-  const int cls = class_for_capacity(cap);
-  if (cls >= 0 && g_pool_enabled.load(std::memory_order_relaxed) &&
-      put_cached(cls, p)) {
-    g_wire.buf_recycled.fetch_add(1, std::memory_order_relaxed);
-    return;
+  if (g_pool_enabled.load(std::memory_order_relaxed)) {
+    const int cls = class_for_capacity(cap);
+    if (cls >= 0 ? put_cached(cls, p) : put_large(p, cap)) {
+      g_wire.buf_recycled.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
   }
   ::operator delete(p);
 }
@@ -241,6 +289,10 @@ void drain_caches() noexcept {
     for (std::byte* p : cl.blocks) ::operator delete(p);
     cl.blocks.clear();
   }
+  std::lock_guard<std::mutex> lock(g.large.mutex);
+  for (const auto& [cap, p] : g.large.blocks) ::operator delete(p);
+  g.large.blocks.clear();
+  g.large.bytes = 0;
 }
 
 }  // namespace cx::wire

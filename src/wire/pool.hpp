@@ -18,6 +18,13 @@
 // the receiver's — so each size class also has a mutex-protected
 // global overflow list; thread caches refill from / spill to it in
 // batches, which keeps ping-pong patterns from starving the sender.
+//
+// Blocks above kMaxBlock skip the thread caches and recycle through one
+// mutex-guarded cache shared by all threads, bounded by
+// kLargeCacheBytes: a large payload is almost always allocated on one
+// thread and freed on another (a sender's PE and the socket comm thread
+// that writes it out; the comm thread that reads it in and the
+// receiver's PE).
 
 #include <cstddef>
 #include <cstdint>
@@ -28,11 +35,14 @@ class Options;
 
 namespace cx::wire {
 
-/// Payload size classes are powers of two from kMinBlock to kMaxBlock;
-/// requests above kMaxBlock get an exact-size system allocation that is
-/// never recycled.
+/// Payload size classes are powers of two from kMinBlock to kMaxBlock.
+/// Requests above kMaxBlock are rounded up to a multiple of kLargeGrain
+/// and recycled through the shared large-block cache, which holds at
+/// most kLargeCacheBytes.
 inline constexpr std::size_t kMinBlock = 256;
 inline constexpr std::size_t kMaxBlock = std::size_t{1} << 20;  // 1 MiB
+inline constexpr std::size_t kLargeGrain = std::size_t{64} << 10;
+inline constexpr std::size_t kLargeCacheBytes = std::size_t{16} << 20;
 
 /// Fixed block size backing pooled Message objects (Message::operator
 /// new). Holds sizeof(Message) with headroom; static_assert'd at the
@@ -40,8 +50,8 @@ inline constexpr std::size_t kMaxBlock = std::size_t{1} << 20;  // 1 MiB
 inline constexpr std::size_t kMsgBlock = 256;
 
 /// Allocate a payload block of at least `size` bytes; `*cap` receives
-/// the actual capacity (the size class, or `size` when above
-/// kMaxBlock). Never returns nullptr for size > 0.
+/// the actual capacity (the size class, or a multiple of kLargeGrain
+/// above kMaxBlock). Never returns nullptr for size > 0.
 [[nodiscard]] std::byte* alloc_block(std::size_t size, std::size_t* cap);
 
 /// Return a block obtained from alloc_block. `cap` must be the capacity
@@ -71,8 +81,9 @@ void set_pool_enabled(bool on) noexcept;
 void configure_from_options(const cxu::Options& opt);
 
 /// Release every cached block (thread-local caches of the calling
-/// thread plus the global overflow lists) back to the system. Handy for
-/// leak-checked tests; the runtime never needs to call it.
+/// thread, the global overflow lists and the large-block cache) back to
+/// the system. Handy for leak-checked tests; the runtime never needs to
+/// call it.
 void drain_caches() noexcept;
 
 }  // namespace cx::wire

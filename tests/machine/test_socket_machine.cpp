@@ -1,11 +1,13 @@
 // SocketMachine tier: the on-socket frame codec rejects hostile input
-// without allocating, the connection handshake refuses mismatched
-// peers, and real multi-process jobs (forked ranks wired up through an
-// in-test rendezvous root, exactly what cxrun does) produce results
-// byte-identical to the threaded backend. The kill -9 test checks the
+// without allocating and reads payloads in place, the connection
+// handshake refuses mismatched peers, and real multi-process jobs
+// (forked ranks wired up through an in-test rendezvous root, exactly
+// what cxrun does) produce results byte-identical to the threaded
+// backend without copying payloads on send. The kill -9 test checks the
 // full failure pipeline: SIGKILL -> connection EOF -> peer_down ->
 // crashed + failure listener -> coordinator notice round ->
-// cx::ft::on_failure on the surviving rank.
+// cx::ft::on_failure on the surviving rank; a peer hanging up
+// mid-payload and a rank whose exec fails under cxrun end promptly too.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +16,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <random>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/charm.hpp"
@@ -29,7 +36,8 @@
 #include "net/frame.hpp"
 #include "net/socket_util.hpp"
 #include "net/wireup.hpp"
-#include "pup/pup.hpp"
+#include "trace/trace.hpp"
+#include "wire/pool.hpp"
 
 namespace {
 
@@ -40,6 +48,73 @@ std::vector<std::byte> prefix_only(std::uint32_t len) {
   std::vector<std::byte> b(4);
   std::memcpy(b.data(), &len, 4);
   return b;
+}
+
+using Status = cxnet::FrameReader::Status;
+
+/// A data frame's bytes on the wire: the encoded head, then the payload.
+std::vector<std::byte> wire_bytes(const cxm::Message& m) {
+  const cxnet::FrameHead head = cxnet::encode_header(m);
+  std::vector<std::byte> out(head.size() + m.data.size());
+  std::memcpy(out.data(), head.data(), head.size());
+  if (!m.data.empty()) {
+    std::memcpy(out.data() + head.size(), m.data.data(), m.data.size());
+  }
+  return out;
+}
+
+/// Hand [p, p + n) to the reader, collecting every frame it completes.
+Status feed(cxnet::FrameReader& r, const std::byte* p, std::size_t n,
+            std::vector<cxnet::Frame>& got) {
+  for (;;) {
+    cxnet::Frame f;
+    const Status st = r.next(p, n, f);
+    if (st != Status::Frame) return st;
+    got.push_back(std::move(f));
+  }
+}
+
+/// Drive the reader over `stream` the way the comm thread does: while a
+/// payload is open, "recv" straight into payload_window(); otherwise
+/// hand over a chunk. Chunk sizes come from `chunk_size`.
+Status pump(cxnet::FrameReader& r, const std::vector<std::byte>& stream,
+            const std::function<std::size_t()>& chunk_size,
+            std::vector<cxnet::Frame>& got) {
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    const std::size_t k = std::min(chunk_size(), stream.size() - pos);
+    const std::span<std::byte> window = r.payload_window();
+    Status st;
+    if (window.empty()) {
+      st = feed(r, stream.data() + pos, k, got);
+      pos += k;
+    } else {
+      const std::size_t in_place = std::min(k, window.size());
+      std::memcpy(window.data(), stream.data() + pos, in_place);
+      r.commit(in_place);
+      pos += in_place;
+      st = feed(r, nullptr, 0, got);
+    }
+    if (st == Status::Error) return st;
+  }
+  return Status::NeedMore;
+}
+
+cxm::Message patterned(std::uint32_t handler, std::size_t size) {
+  cxm::Message m;
+  m.handler = handler;
+  m.dst_pe = 1;
+  m.data.resize_discard(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    m.data.data()[i] = static_cast<std::byte>((i * 131 + handler) >> 3);
+  }
+  return m;
+}
+
+/// Payload blocks and Message objects taken since the last reset.
+std::uint64_t allocations() {
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  return w.buf_allocs + w.buf_hits + w.msg_allocs + w.msg_hits;
 }
 
 TEST(SocketFrame, RoundTripPreservesEveryField) {
@@ -56,22 +131,22 @@ TEST(SocketFrame, RoundTripPreservesEveryField) {
   m.data.assign(reinterpret_cast<const std::byte*>(payload.data()),
                 payload.size());
 
-  const auto bytes = cxnet::encode_frame(m);
-  ASSERT_EQ(bytes.size(), 4 + cxnet::kFrameHeaderBytes + payload.size());
+  const auto bytes = wire_bytes(m);
+  ASSERT_EQ(bytes.size(), cxnet::kFrameHeadBytes + payload.size());
 
   // Dribble the stream in one-byte feeds: a frame only surfaces once
   // the last byte arrives.
   cxnet::FrameReader r;
-  cxnet::Frame f;
+  std::vector<cxnet::Frame> got;
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
-    r.feed(&bytes[i], 1);
-    ASSERT_EQ(r.next(f), cxnet::FrameReader::Status::NeedMore);
+    ASSERT_EQ(feed(r, &bytes[i], 1, got), Status::NeedMore);
+    ASSERT_TRUE(got.empty());
   }
-  r.feed(&bytes[bytes.size() - 1], 1);
-  ASSERT_EQ(r.next(f), cxnet::FrameReader::Status::Frame);
-  EXPECT_EQ(f.kind, cxnet::FrameKind::Data);
+  ASSERT_EQ(feed(r, &bytes[bytes.size() - 1], 1, got), Status::NeedMore);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, cxnet::FrameKind::Data);
 
-  const cxm::MessagePtr back = cxnet::frame_to_message(f);
+  const cxm::MessagePtr& back = got[0].msg;
   EXPECT_EQ(back->handler, m.handler);
   EXPECT_EQ(back->src_pe, m.src_pe);
   EXPECT_EQ(back->dst_pe, m.dst_pe);
@@ -82,60 +157,83 @@ TEST(SocketFrame, RoundTripPreservesEveryField) {
   EXPECT_EQ(back->size_override, m.size_override);
   ASSERT_EQ(back->data.size(), payload.size());
   EXPECT_EQ(std::memcmp(back->data.data(), payload.data(), payload.size()), 0);
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::NeedMore);
+  EXPECT_TRUE(r.payload_window().empty());
   EXPECT_FALSE(r.failed());
 }
 
-TEST(SocketFrame, BackToBackFramesDecodeInOrder) {
+TEST(SocketFrame, LargeFrameInRandomChunksReadsInPlace) {
+  // A 4 MiB frame arriving in seeded random pieces: only the piece that
+  // carries the head is copied; every later byte lands in the frame's
+  // Message directly.
+  const cxm::Message m = patterned(7, (4u << 20) + 7);
+  const auto stream = wire_bytes(m);
+  std::mt19937 rng(20240613);
+  const auto chunk = [&] { return std::size_t{1} + rng() % 100000; };
+
+  cx::trace::reset_wire_stats();
   cxnet::FrameReader r;
+  std::vector<cxnet::Frame> got;
+  ASSERT_EQ(pump(r, stream, chunk, got), Status::NeedMore);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].msg->handler, 7u);
+  EXPECT_TRUE(got[0].msg->data == m.data);
+  EXPECT_TRUE(r.payload_window().empty());
+  EXPECT_LT(cx::trace::wire_stats().net_rx_copy_bytes, 100000u);
+}
+
+TEST(SocketFrame, BackToBackFramesDecodeInOrder) {
+  // Small, large, small in one stream, read in the comm thread's 64 KiB
+  // chunks: the large frame's tail is read in place, so at most one
+  // chunk per frame is copied.
+  const std::size_t sizes[] = {24, (1u << 20) + 1, 0};
   std::vector<std::byte> stream;
-  for (int i = 0; i < 3; ++i) {
-    cxm::Message m;
-    m.handler = static_cast<std::uint32_t>(100 + i);
-    m.dst_pe = i;
-    const auto one = cxnet::encode_frame(m);
+  std::vector<cxm::Message> sent;
+  for (std::size_t i = 0; i < 3; ++i) {
+    sent.push_back(patterned(static_cast<std::uint32_t>(100 + i), sizes[i]));
+    const auto one = wire_bytes(sent.back());
     stream.insert(stream.end(), one.begin(), one.end());
   }
-  r.feed(stream.data(), stream.size());
-  cxnet::Frame f;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(r.next(f), cxnet::FrameReader::Status::Frame);
-    EXPECT_EQ(f.handler, static_cast<std::uint32_t>(100 + i));
-    EXPECT_EQ(f.dst_pe, i);
+  cx::trace::reset_wire_stats();
+  cxnet::FrameReader r;
+  std::vector<cxnet::Frame> got;
+  ASSERT_EQ(pump(r, stream, [] { return std::size_t{64} << 10; }, got),
+            Status::NeedMore);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got[i].msg->handler, sent[i].handler);
+    EXPECT_TRUE(got[i].msg->data == sent[i].data) << "frame " << i;
   }
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::NeedMore);
+  EXPECT_LE(cx::trace::wire_stats().net_rx_copy_bytes, 3u * (64u << 10));
 }
 
 TEST(SocketFrame, OversizedPrefixRejectedFromPrefixAlone) {
   // A hostile length prefix must be rejected from the 4 prefix bytes
   // alone — before any body arrives, and without allocating what the
   // prefix claims (0xffffffff would be a 4 GiB buffer).
+  cx::trace::reset_wire_stats();
   cxnet::FrameReader r;
+  std::vector<cxnet::Frame> got;
   const auto b = prefix_only(0xffffffffu);
-  r.feed(b.data(), b.size());
-  cxnet::Frame f;
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::Error);
+  EXPECT_EQ(feed(r, b.data(), b.size(), got), Status::Error);
   EXPECT_TRUE(r.failed());
   EXPECT_FALSE(r.error().empty());
-  EXPECT_LE(r.pending_bytes(), 4u);
+  EXPECT_EQ(allocations(), 0u);
   // The error state is sticky: further bytes never resurrect the
   // connection.
   const auto good = cxnet::encode_control(cxnet::ControlOp::Stop, -1, 0);
-  r.feed(good.data(), good.size());
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::Error);
+  EXPECT_EQ(feed(r, good.data(), good.size(), got), Status::Error);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(SocketFrame, CustomLimitBoundsFrameSize) {
   cxnet::FrameReader r(256);
-  cxnet::Frame f;
+  std::vector<cxnet::Frame> got;
   auto over = prefix_only(257);
-  r.feed(over.data(), over.size());
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::Error);
+  EXPECT_EQ(feed(r, over.data(), over.size(), got), Status::Error);
 
   cxnet::FrameReader ok(256);
   auto fits = prefix_only(256);  // valid size; body just hasn't arrived
-  ok.feed(fits.data(), fits.size());
-  EXPECT_EQ(ok.next(f), cxnet::FrameReader::Status::NeedMore);
+  EXPECT_EQ(feed(ok, fits.data(), fits.size(), got), Status::NeedMore);
   EXPECT_FALSE(ok.failed());
 }
 
@@ -143,21 +241,20 @@ TEST(SocketFrame, TruncatedPrefixRejected) {
   // A length prefix smaller than the fixed header can never frame a
   // message — protocol violation, not "wait for more".
   cxnet::FrameReader r;
+  std::vector<cxnet::Frame> got;
   const auto b =
       prefix_only(static_cast<std::uint32_t>(cxnet::kFrameHeaderBytes - 1));
-  r.feed(b.data(), b.size());
-  cxnet::Frame f;
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::Error);
+  EXPECT_EQ(feed(r, b.data(), b.size(), got), Status::Error);
 }
 
 TEST(SocketFrame, UnknownKindRejected) {
-  cxm::Message m;
-  auto bytes = cxnet::encode_frame(m);
+  auto bytes = wire_bytes(patterned(1, 4096));
   bytes[4] = std::byte{7};  // kind byte: neither Data nor Control
+  cx::trace::reset_wire_stats();
   cxnet::FrameReader r;
-  r.feed(bytes.data(), bytes.size());
-  cxnet::Frame f;
-  EXPECT_EQ(r.next(f), cxnet::FrameReader::Status::Error);
+  std::vector<cxnet::Frame> got;
+  EXPECT_EQ(feed(r, bytes.data(), bytes.size(), got), Status::Error);
+  EXPECT_EQ(allocations(), 0u);
 }
 
 TEST(SocketFrame, LocalPayloadRefusesToEncode) {
@@ -167,20 +264,22 @@ TEST(SocketFrame, LocalPayloadRefusesToEncode) {
   int dummy = 0;
   m.local = &dummy;
   m.local_drop = +[](void*) noexcept {};
-  EXPECT_THROW((void)cxnet::encode_frame(m), std::logic_error);
+  EXPECT_THROW((void)cxnet::encode_header(m), std::logic_error);
 }
 
 TEST(SocketFrame, ControlFrameRoundTrip) {
-  const auto bytes = cxnet::encode_control(cxnet::ControlOp::Kill, 6, 2);
+  const auto head = cxnet::encode_control(cxnet::ControlOp::Kill, 6, 2);
   cxnet::FrameReader r;
-  r.feed(bytes.data(), bytes.size());
-  cxnet::Frame f;
-  ASSERT_EQ(r.next(f), cxnet::FrameReader::Status::Frame);
+  std::vector<cxnet::Frame> got;
+  EXPECT_EQ(feed(r, head.data(), head.size(), got), Status::NeedMore);
+  ASSERT_EQ(got.size(), 1u);
+  const cxnet::Frame& f = got[0];
   EXPECT_EQ(f.kind, cxnet::FrameKind::Control);
-  EXPECT_EQ(f.handler, static_cast<std::uint32_t>(cxnet::ControlOp::Kill));
-  EXPECT_EQ(f.dst_pe, 6);
-  EXPECT_EQ(f.src_pe, 2);
-  EXPECT_EQ(f.payload_len, 0u);
+  EXPECT_EQ(f.msg->handler,
+            static_cast<std::uint32_t>(cxnet::ControlOp::Kill));
+  EXPECT_EQ(f.msg->dst_pe, 6);
+  EXPECT_EQ(f.msg->src_pe, 2);
+  EXPECT_TRUE(f.msg->data.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -329,66 +428,101 @@ ExitStatus wait_child(pid_t pid) {
 
 // ---------------------------------------------------------------------------
 // Ring digest parity: a token hops PE 0 -> 1 -> ... -> 0 mixing
-// (pe, hop) into an FNV accumulator at every stop. Any difference in
-// delivery order, payload bytes, or routing changes the digest, so one
-// u64 compares the whole run against the threaded backend.
+// (pe, hop) and every byte of its payload into an FNV accumulator at
+// every stop. Any difference in delivery order, payload bytes, or
+// routing changes the digest, so one u64 compares the whole run against
+// the threaded backend.
 
 struct Token {
   std::uint32_t hop = 0;
   std::uint32_t total = 0;
   std::uint64_t digest = 0;
-  void pup(pup::Er& p) {
-    p | hop;
-    p | total;
-    p | digest;
-  }
 };
+constexpr std::size_t kTokenBytes = sizeof(Token);  // no padding
+
+/// Payload sizes the token steps through, hop by hop: the bare token
+/// (an empty pad), the 128 B inline-storage edge, the 64 KiB read
+/// chunk, the 1 MiB largest pooled size class, and 4 MiB plus an odd
+/// tail.
+constexpr std::size_t kRingSizes[] = {
+    kTokenBytes, 127,         128,         129,
+    (64u << 10) - 1, 64u << 10, (64u << 10) + 1, (1u << 20) - 1,
+    1u << 20,    (1u << 20) + 1, (4u << 20) + 7};
+constexpr std::size_t kNumRingSizes = std::size(kRingSizes);
 
 std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   h ^= v;
   return h * 1099511628211ull;
 }
 
+/// The message carrying `t`: the token, then a pad of patterned bytes
+/// filling it out to the size its hop calls for.
+cxm::MessagePtr ring_message(std::uint32_t handler, int dst, const Token& t) {
+  auto msg = std::make_unique<cxm::Message>();
+  msg->handler = handler;
+  msg->dst_pe = dst;
+  msg->data.resize_discard(kRingSizes[t.hop % kNumRingSizes]);
+  std::memcpy(msg->data.data(), &t, kTokenBytes);
+  for (std::size_t i = kTokenBytes; i < msg->data.size(); ++i) {
+    msg->data.data()[i] = static_cast<std::byte>(t.hop * 131 + i * 7);
+  }
+  return msg;
+}
+
 /// Run the token ring on any machine; returns the final digest on the
-/// rank hosting PE 0 (where the ring closes), 0 elsewhere.
-std::uint64_t run_ring(cxm::Machine& m, std::uint32_t total_hops) {
+/// rank hosting PE 0 (where the ring closes), 0 elsewhere. Counts the
+/// messages that arrived from another rank in `remote_in`.
+std::uint64_t run_ring(cxm::Machine& m, std::uint32_t total_hops,
+                       std::atomic<std::uint64_t>* remote_in = nullptr) {
   std::atomic<std::uint64_t> result{0};
   std::uint32_t h = 0;
   h = m.register_handler([&](cxm::MessagePtr msg) {
-    Token t = pup::from_bytes<Token>(msg->data);
+    if (remote_in != nullptr && msg->src_pe >= 0 &&
+        !m.hosts_pe(msg->src_pe)) {
+      remote_in->fetch_add(1);
+    }
+    Token t;
+    std::memcpy(&t, msg->data.data(), kTokenBytes);
     const int pe = m.current_pe();
     t.digest = fnv_step(t.digest, (static_cast<std::uint64_t>(pe) << 32) |
                                       t.hop);
+    for (std::size_t i = kTokenBytes; i < msg->data.size(); ++i) {
+      t.digest = fnv_step(t.digest, std::to_integer<std::uint64_t>(
+                                        msg->data.data()[i]));
+    }
     ++t.hop;
     if (t.hop == t.total) {
       result.store(t.digest);
       m.stop();
       return;
     }
-    auto out = std::make_unique<cxm::Message>();
-    out->handler = h;
-    out->dst_pe = (pe + 1) % m.num_pes();
-    out->data = pup::to_bytes(t);
-    m.send(std::move(out));
+    m.send(ring_message(h, (pe + 1) % m.num_pes(), t));
   });
   if (m.hosts_pe(0)) {
     Token t;
     t.total = total_hops;
     t.digest = 0xcbf29ce484222325ull;
-    auto seed = std::make_unique<cxm::Message>();
-    seed->handler = h;
-    seed->dst_pe = 0;
-    seed->data = pup::to_bytes(t);
-    m.send(std::move(seed));
+    m.send(ring_message(h, 0, t));
   }
   m.run();
   return result.load();
 }
 
-// 4 PEs, 13 hops: 13 % 4 == 1, so the ring closes back on PE 0 — the
+// 4 PEs, 25 hops: 25 % 4 == 1, so the ring closes back on PE 0 — the
 // rank that reports. With 2 ranks x 2 ppn, hops 1->2 and 3->0 cross
-// the sockets while 0->1 and 2->3 take the in-process mailbox path.
-constexpr std::uint32_t kRingHops = 13;
+// the sockets while 0->1 and 2->3 take the in-process mailbox path: the
+// messages carrying an even hop count cross, and those hops (2..24)
+// cover every entry of kRingSizes.
+constexpr std::uint32_t kRingHops = 25;
+
+/// What each forked rank reports back: its digest (0 off PE 0's rank)
+/// and the frame path's copy counters against the frames it received.
+struct RingReport {
+  std::uint64_t digest = 0;
+  std::uint64_t tx_copy_bytes = 0;
+  std::uint64_t rx_copy_bytes = 0;
+  std::uint64_t remote_in = 0;
+};
 
 TEST(SocketJob, RingDigestMatchesThreaded) {
   cxm::MachineConfig ref;
@@ -398,20 +532,136 @@ TEST(SocketJob, RingDigestMatchesThreaded) {
   ASSERT_NE(expected, 0u);
 
   Job job = spawn_ranks(2, 2, [](int, int wfd) {
+    cx::trace::reset_wire_stats();
     cxm::MachineConfig cfg;  // Threaded request; CXRUN_* upgrades it
     auto m = cxm::make_machine(cfg);
-    const std::uint64_t digest = run_ring(*m, kRingHops);
-    write_exact(wfd, &digest, sizeof(digest));
+    std::atomic<std::uint64_t> remote_in{0};
+    RingReport rep;
+    rep.digest = run_ring(*m, kRingHops, &remote_in);
+    const cx::trace::WireStats w = cx::trace::wire_stats();
+    rep.tx_copy_bytes = w.net_tx_copy_bytes;
+    rep.rx_copy_bytes = w.net_rx_copy_bytes;
+    rep.remote_in = remote_in.load();
+    write_exact(wfd, &rep, sizeof(rep));
   });
 
-  std::uint64_t digest = 0;
-  ASSERT_TRUE(read_exact(job.out[0], &digest, sizeof(digest)));
-  EXPECT_EQ(digest, expected);
+  for (int r = 0; r < 2; ++r) {
+    RingReport rep;
+    ASSERT_TRUE(read_exact(job.out[r], &rep, sizeof(rep))) << "rank " << r;
+    if (r == 0) {
+      EXPECT_EQ(rep.digest, expected);
+    }
+    // Sends go out straight from the Message buffer; a received frame
+    // is copied at most once, for the one read chunk holding its head.
+    EXPECT_EQ(rep.tx_copy_bytes, 0u) << "rank " << r;
+    EXPECT_GT(rep.remote_in, 0u) << "rank " << r;
+    EXPECT_LE(rep.rx_copy_bytes, rep.remote_in * (64u << 10))
+        << "rank " << r;
+  }
   for (pid_t pid : job.pids) {
     const ExitStatus st = wait_child(pid);
     EXPECT_FALSE(st.signaled);
     EXPECT_EQ(st.code, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A peer that hangs up mid-payload. Rank 0 is a real SocketMachine in
+// this process; rank 1 is the test itself, wiring up by hand and then
+// closing the connection a quarter of the way into a 4 MiB data frame.
+// In-process so the leak checker sees the partly received Message.
+
+TEST(SocketJob, EofMidPayloadDropsPeerAndFreesMessage) {
+  const bool pooled = cx::wire::pool_enabled();
+  cx::wire::set_pool_enabled(true);
+  cx::wire::drain_caches();
+
+  cxnet::Fd root = cxnet::tcp_listen(0);
+  const std::uint16_t root_port = cxnet::local_port(root.get());
+  std::thread root_thread([&] {
+    try {
+      cxnet::run_root_exchange(root.get(), 2, 1);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "root exchange: " << e.what();
+    }
+  });
+  std::unique_ptr<cxm::Machine> m;
+  std::thread rank0([&] {
+    cxm::MachineConfig cfg;
+    cfg.backend = cxm::Backend::Socket;
+    cfg.socket.rank = 0;
+    cfg.socket.nranks = 2;
+    cfg.socket.ppn = 1;
+    cfg.socket.root_port = root_port;
+    try {
+      m = cxm::make_machine(cfg);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "rank 0 wireup: " << e.what();
+    }
+  });
+  cxnet::Handshake hs;
+  hs.rank = 1;
+  hs.nranks = 2;
+  hs.ppn = 1;
+  cxnet::Fd data = cxnet::tcp_listen(0);
+  const std::vector<cxnet::Endpoint> table = cxnet::client_rendezvous(
+      "127.0.0.1", root_port, hs, cxnet::local_port(data.get()));
+  std::vector<cxnet::Fd> mesh = cxnet::mesh_wireup(hs, data.get(), table);
+  root_thread.join();
+  rank0.join();
+  ASSERT_NE(m, nullptr);
+
+  std::atomic<int> delivered{0};
+  (void)m->register_handler([&](cxm::MessagePtr) { delivered.fetch_add(1); });
+  std::atomic<int> failed_pe{-1};
+  m->set_failure_listener([&](const cx::ft::PeFailure& f) {
+    failed_pe.store(f.pe);
+    m->stop();
+  });
+  const cxm::Message big = patterned(0, 4u << 20);
+  const cxnet::FrameHead head = cxnet::encode_header(big);
+  cx::trace::reset_wire_stats();
+  std::thread runner([&] { m->run(); });
+  cxnet::send_all(mesh[0].get(), head.data(), head.size());
+  cxnet::send_all(mesh[0].get(), big.data.data(), 1u << 20);
+  mesh[0].reset();
+  runner.join();
+
+  EXPECT_EQ(failed_pe.load(), 1);
+  EXPECT_EQ(delivered.load(), 0);
+  // The frame's one payload block was taken when its head arrived and
+  // was back in the pool before run() returned; only the chunk holding
+  // the head was copied, the rest was read in place.
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  EXPECT_EQ(w.buf_allocs + w.buf_hits, 1u);
+  EXPECT_EQ(w.buf_recycled, 1u);
+  EXPECT_LE(w.net_rx_copy_bytes, 64u << 10);
+  m.reset();
+  cx::wire::set_pool_enabled(pooled);
+  cx::wire::drain_caches();
+}
+
+// ---------------------------------------------------------------------------
+// cxrun: a rank whose exec fails never checks in. cxrun must notice the
+// dead child while it waits for the rendezvous, not after the 30 s
+// accept timeout.
+
+TEST(Cxrun, RankExecFailureEndsJobPromptly) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execl(CHARMX_CXRUN_PATH, "cxrun", "-np", "2", "/nonexistent",
+            static_cast<char*>(nullptr));
+    ::_exit(126);
+  }
+  ASSERT_GT(pid, 0);
+  const ExitStatus st = wait_child(pid);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_FALSE(st.signaled);
+  EXPECT_NE(st.code, 0);
+  EXPECT_LT(secs, 5.0);
 }
 
 // ---------------------------------------------------------------------------

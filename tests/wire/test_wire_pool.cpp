@@ -13,6 +13,7 @@
 #include "machine/machine.hpp"
 #include "pup/pup.hpp"
 #include "trace/trace.hpp"
+#include "util/options.hpp"
 #include "wire/buffer.hpp"
 #include "wire/pool.hpp"
 
@@ -124,6 +125,105 @@ TEST(WirePool, MessageObjectsRecycle) {
   EXPECT_EQ(w.msg_hits, 1u);
   EXPECT_EQ(w.msg_recycled, 2u);
 
+  set_pool_enabled(saved);
+  drain_caches();
+}
+
+// ---- large blocks (above kMaxBlock) ---------------------------------------
+
+constexpr std::size_t kLargeSize = (4u << 20) + 7;
+
+TEST(WirePool, LargeBlockFreedOnOneThreadServesAnother) {
+  // The socket path allocates a large payload on one thread and frees
+  // it on another, so the large-block cache is shared by all threads.
+  const bool saved = pool_enabled();
+  set_pool_enabled(true);
+  drain_caches();
+  cx::trace::reset_wire_stats();
+
+  std::byte* freed = nullptr;
+  std::thread a([&] {
+    std::size_t cap = 0;
+    freed = alloc_block(kLargeSize, &cap);
+    EXPECT_GE(cap, kLargeSize);
+    EXPECT_EQ(cap % kLargeGrain, 0u);
+    free_block(freed, cap);
+  });
+  a.join();
+  std::byte* reused = nullptr;
+  std::size_t cap = 0;
+  std::thread b([&] { reused = alloc_block(kLargeSize, &cap); });
+  b.join();
+  EXPECT_EQ(reused, freed);
+  free_block(reused, cap);
+
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  EXPECT_EQ(w.buf_allocs, 1u);
+  EXPECT_EQ(w.buf_hits, 1u);
+  EXPECT_EQ(w.buf_recycled, 2u);
+  set_pool_enabled(saved);
+  drain_caches();
+}
+
+TEST(WirePool, LargeCacheHoldsAtMostItsByteBound) {
+  const bool saved = pool_enabled();
+  set_pool_enabled(true);
+  drain_caches();
+  cx::trace::reset_wire_stats();
+
+  std::vector<std::pair<std::byte*, std::size_t>> blocks(8);
+  for (auto& [p, cap] : blocks) p = alloc_block(kLargeSize, &cap);
+  const std::size_t fits = kLargeCacheBytes / blocks[0].second;
+  ASSERT_LT(fits, blocks.size());
+  for (auto& [p, cap] : blocks) free_block(p, cap);
+  EXPECT_EQ(cx::trace::wire_stats().buf_recycled, fits);
+
+  // Only the blocks the bound let in come back.
+  for (auto& [p, cap] : blocks) p = alloc_block(kLargeSize, &cap);
+  EXPECT_EQ(cx::trace::wire_stats().buf_hits, fits);
+  for (auto& [p, cap] : blocks) free_block(p, cap);
+  set_pool_enabled(saved);
+  drain_caches();
+}
+
+TEST(WirePool, WirePoolOffBypassesLargeCache) {
+  const bool saved = pool_enabled();
+  drain_caches();
+  char prog[] = "test_wire_pool";
+  char flag[] = "--wire-pool=off";
+  char* argv[] = {prog, flag};
+  configure_from_options(cxu::Options(2, argv));
+  ASSERT_FALSE(pool_enabled());
+  cx::trace::reset_wire_stats();
+
+  for (int i = 0; i < 2; ++i) {
+    std::size_t cap = 0;
+    std::byte* p = alloc_block(kLargeSize, &cap);
+    free_block(p, cap);
+  }
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  EXPECT_EQ(w.buf_allocs, 2u);
+  EXPECT_EQ(w.buf_hits, 0u);
+  EXPECT_EQ(w.buf_recycled, 0u);
+  set_pool_enabled(saved);
+}
+
+TEST(WirePool, DrainCachesEmptiesLargeCache) {
+  const bool saved = pool_enabled();
+  set_pool_enabled(true);
+  drain_caches();
+  cx::trace::reset_wire_stats();
+
+  std::size_t cap = 0;
+  std::byte* p = alloc_block(kLargeSize, &cap);
+  free_block(p, cap);
+  ASSERT_EQ(cx::trace::wire_stats().buf_recycled, 1u);
+  drain_caches();
+  p = alloc_block(kLargeSize, &cap);  // nothing cached: a fresh block
+  free_block(p, cap);
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  EXPECT_EQ(w.buf_allocs, 2u);
+  EXPECT_EQ(w.buf_hits, 0u);
   set_pool_enabled(saved);
   drain_caches();
 }
