@@ -5,7 +5,10 @@
 // Starts N rank processes (fork/exec locally), runs the rendezvous root
 // they wire up through, and waits for all of them. A rank that exits
 // before checking in (a failed exec, say) fails the job at once, with its
-// exit status reported. Each child gets:
+// exit status reported. So does the first rank to die or exit nonzero
+// after wireup: the remaining ranks get SIGTERM, then SIGKILL after a
+// short grace period, and cxrun exits nonzero naming that rank. Each
+// child gets:
 //
 //   CXRUN_RANK    its rank (0..N-1)
 //   CXRUN_NRANKS  N
@@ -19,6 +22,7 @@
 // wireup.
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -52,6 +57,25 @@ struct Args {
   std::vector<std::string> hosts;
   std::vector<char*> child_argv;  // program + args, from the parent argv
 };
+
+/// How long the remaining ranks get between SIGTERM and SIGKILL when
+/// the job is torn down.
+constexpr std::chrono::seconds kTeardownGrace{2};
+
+/// Report how rank `r` ended; true if it ended abnormally.
+bool report_exit(int r, int status) {
+  if (WIFSIGNALED(status)) {
+    std::fprintf(stderr, "cxrun: rank %d killed by signal %d (%s)\n", r,
+                 WTERMSIG(status), strsignal(WTERMSIG(status)));
+    return true;
+  }
+  if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "cxrun: rank %d exited with status %d\n", r,
+                 WEXITSTATUS(status));
+    return true;
+  }
+  return false;
+}
 
 bool parse(int argc, char** argv, Args& out) {
   int i = 1;
@@ -141,19 +165,35 @@ int main(int argc, char** argv) {
   // Run the root exchange. While it waits for ranks to check in it polls
   // the children, so a rank that dies first (failed exec, crash) ends the
   // wireup at once instead of after the 30 s accept timeout.
-  std::vector<int> statuses(pids.size(), 0);
   std::vector<bool> reaped(pids.size(), false);
   const auto check_children = [&] {
     for (std::size_t r = 0; r < pids.size(); ++r) {
-      if (reaped[r] || ::waitpid(pids[r], &statuses[r], WNOHANG) != pids[r]) {
+      int status = 0;
+      if (reaped[r] || ::waitpid(pids[r], &status, WNOHANG) != pids[r]) {
         continue;
       }
       reaped[r] = true;
+      (void)report_exit(static_cast<int>(r), status);
       throw std::runtime_error("rank " + std::to_string(r) +
                                " ended before checking in");
     }
   };
-  bool wireup_ok = true;
+  // Teardown: SIGTERM every rank still running now, SIGKILL at the
+  // deadline. Only a job that is being torn down polls; otherwise the
+  // reaping loop below blocks in waitpid.
+  using Clock = std::chrono::steady_clock;
+  bool tearing_down = false;
+  bool killed = false;
+  Clock::time_point kill_at;
+  const auto tear_down = [&] {
+    tearing_down = true;
+    kill_at = Clock::now() + kTeardownGrace;
+    for (std::size_t r = 0; r < pids.size(); ++r) {
+      if (!reaped[r]) ::kill(pids[r], SIGTERM);
+    }
+  };
+
+  int exit_code = 0;
   try {
     cxnet::run_root_exchange(root.get(),
                              static_cast<std::uint32_t>(args.np),
@@ -161,29 +201,58 @@ int main(int argc, char** argv) {
                              check_children);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cxrun: wireup failed: %s\n", e.what());
-    wireup_ok = false;
-    for (std::size_t r = 0; r < pids.size(); ++r) {
-      if (!reaped[r]) ::kill(pids[r], SIGTERM);
-    }
+    exit_code = 1;
+    tear_down();
   }
 
-  int exit_code = wireup_ok ? 0 : 1;
-  for (int r = 0; r < args.np; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    if (!reaped[i] && ::waitpid(pids[i], &statuses[i], 0) < 0) {
-      std::perror("cxrun: waitpid");
-      exit_code = 1;
+  // Reap ranks in the order they end. The first abnormal end fails the
+  // job and tears down the rest.
+  std::size_t live = 0;
+  for (std::size_t r = 0; r < pids.size(); ++r) {
+    if (!reaped[r]) ++live;
+  }
+  while (live > 0) {
+    int status = 0;
+    const pid_t pid =
+        ::waitpid(-1, &status, tearing_down && !killed ? WNOHANG : 0);
+    if (pid == 0) {
+      if (Clock::now() >= kill_at) {
+        for (std::size_t r = 0; r < pids.size(); ++r) {
+          if (!reaped[r]) ::kill(pids[r], SIGKILL);
+        }
+        killed = true;
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
       continue;
     }
-    const int status = statuses[i];
-    if (WIFSIGNALED(status)) {
-      std::fprintf(stderr, "cxrun: rank %d killed by signal %d (%s)\n", r,
-                   WTERMSIG(status), strsignal(WTERMSIG(status)));
-      exit_code = 1;
-    } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-      std::fprintf(stderr, "cxrun: rank %d exited with status %d\n", r,
-                   WEXITSTATUS(status));
-      if (exit_code == 0) exit_code = WEXITSTATUS(status);
+    if (pid < 0) {
+      if (errno == EINTR) continue;
+      std::perror("cxrun: waitpid");
+      return 1;
+    }
+    std::size_t r = 0;
+    while (r < pids.size() && pids[r] != pid) ++r;
+    if (r == pids.size() || reaped[r]) continue;
+    reaped[r] = true;
+    --live;
+    if (tearing_down) {
+      // Ranks ending on the teardown signals are expected; anything
+      // else (a rank's own failure report) is still shown.
+      const bool torn = WIFSIGNALED(status) && (WTERMSIG(status) == SIGTERM ||
+                                                WTERMSIG(status) == SIGKILL);
+      if (!torn) (void)report_exit(static_cast<int>(r), status);
+      continue;
+    }
+    if (report_exit(static_cast<int>(r), status)) {
+      exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+      if (live > 0) {
+        std::fprintf(stderr,
+                     "cxrun: rank %zu failed; terminating the other %zu "
+                     "rank(s)\n",
+                     r, live);
+        tear_down();
+      }
     }
   }
   return exit_code;

@@ -157,8 +157,17 @@ class Chare {
   /// Tell the condition engine that named chare state changed. Pairs
   /// with set_when_deps<M>: conditions whose declared deps were not
   /// marked since their last failed test are not re-evaluated. The
-  /// dynamic layer calls this automatically on every attribute access.
+  /// dynamic layer marks every attribute access, through cached slots.
   void mark_when_dirty(AttrKey attr) { dirty_.mark(attr); }
+
+  /// Address-stable dirty tick slot of `attr`: marking through it with
+  /// mark_when_dirty_slot is mark_when_dirty(attr) without the search.
+  [[nodiscard]] std::uint64_t* when_dirty_slot(AttrKey attr) {
+    return dirty_.slot_for(attr);
+  }
+  void mark_when_dirty_slot(std::uint64_t* slot) noexcept {
+    dirty_.mark_slot(slot);
+  }
 
   /// Contribute to the current reduction of this chare's collection
   /// (paper §II-F). `target` receives the combined result.

@@ -36,8 +36,11 @@ using AttrKey = std::uint64_t;
 
 /// FNV-1a of the attribute name. A collision merges two attributes'
 /// dirty marks, which is conservative (extra re-tests), never unsound.
+/// The unrolled loop lets the hash of a string literal (up to 16 chars)
+/// fold to a constant wherever the call is inlined.
 constexpr AttrKey attr_key(std::string_view name) noexcept {
   std::uint64_t h = 1469598103934665603ull;
+#pragma GCC unroll 16
   for (const char c : name) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
@@ -64,7 +67,8 @@ struct WhenDeps {
 /// Per-chare dirty clock: a monotone counter plus the last-marked tick of
 /// every attribute written so far. Storage is a deque so the per-attribute
 /// tick slots are address-stable — buffered messages cache direct slot
-/// pointers for an O(1) "did my dependency change?" check.
+/// pointers for an O(1) "did my dependency change?" check, and the
+/// dynamic layer's attribute index marks writes through the same slots.
 class DirtyClock {
  public:
   /// Record a write of attribute `k` (bumps the clock).
@@ -79,10 +83,13 @@ class DirtyClock {
     marks_.emplace_back(k, now_);
   }
 
+  /// Record a write through a slot obtained from slot_for (no search).
+  void mark_slot(std::uint64_t* slot) noexcept { *slot = ++now_; }
+
   [[nodiscard]] std::uint64_t now() const noexcept { return now_; }
 
   /// Address-stable tick slot for `k` (created at 0 if never marked).
-  [[nodiscard]] const std::uint64_t* slot_for(AttrKey k) {
+  [[nodiscard]] std::uint64_t* slot_for(AttrKey k) {
     for (auto& m : marks_) {
       if (m.first == k) return &m.second;
     }

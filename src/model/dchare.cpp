@@ -23,6 +23,7 @@ bool dyn_when(DChare& self, const std::string& method, const Args& args) {
   if (def == nullptr || !def->has_when) return true;
   EvalCtx ctx;
   ctx.self = &self.attrs();
+  ctx.chare = &self;
   ctx.params = &def->params;
   ctx.args = &args;
   return def->when_cond.test(ctx);
@@ -97,20 +98,41 @@ void DChare::dyn_result(std::pair<std::string, Value> tagged) {
   (void)dyn_call(std::move(tagged.first), std::move(args));
 }
 
-Value& DChare::operator[](const std::string& name) {
-  // Every access through the attribute operator may be a write (it
-  // returns a mutable reference), so conservatively mark the attribute
-  // dirty for the when-condition engine. Condition evaluation itself
-  // reads the dict directly (EvalCtx) and does not mark.
-  mark_when_dirty(cx::attr_key(name));
-  return attrs_.as_dict()[name];
+DChare::AttrEntry DChare::index_attr(cx::AttrKey key,
+                                     Dict::value_type& node) {
+  const AttrEntry e{key, &node, when_dirty_slot(key)};
+  attr_index_.insert(e);
+  return e;
 }
 
-const MethodDef* DChare::find_method_cached(const std::string& method) const {
-  const auto it = method_cache_.find(method);
-  if (it != method_cache_.end()) return it->second;
-  const MethodDef* def = find_method(cls_, method);
-  if (def != nullptr) method_cache_.emplace(method, def);
+Value& DChare::attr(cx::AttrKey key, std::string_view name) {
+  const AttrEntry* hit = attr_index_.find(key, name);
+  const AttrEntry e =
+      hit != nullptr
+          ? *hit
+          : index_attr(key,
+                       *attrs_.as_dict().try_emplace(std::string(name)).first);
+  mark_when_dirty_slot(e.tick);
+  return e.node->second;
+}
+
+const Value* DChare::find_attr(cx::AttrKey key, std::string_view name) {
+  if (const AttrEntry* hit = attr_index_.find(key, name)) {
+    return &hit->node->second;
+  }
+  Dict& d = attrs_.as_dict();
+  const auto it = d.find(std::string(name));
+  if (it == d.end()) return nullptr;
+  return &index_attr(key, *it).node->second;
+}
+
+const MethodDef* DChare::find_method_cached(std::string_view method) const {
+  const cx::AttrKey key = cx::attr_key(method);
+  if (const MethodEntry* hit = method_index_.find(key, method)) {
+    return hit->def;
+  }
+  const MethodDef* def = find_method(cls_, std::string(method));
+  if (def != nullptr) method_index_.insert({key, def});
   return def;
 }
 
@@ -121,6 +143,12 @@ bool DChare::has_attr(const std::string& name) const {
 void DChare::pup(pup::Er& p) {
   p | cls_;
   attrs_.pup(p);
+  if (p.unpacking()) {
+    // The indexes point into the dict and class this just replaced;
+    // they refill on the next lookups.
+    attr_index_.clear();
+    method_index_.clear();
+  }
 }
 
 void DChare::resume_from_sync() {
@@ -138,6 +166,7 @@ void DChare::wait_until(const std::string& condition) {
   wait([this, expr]() {
     EvalCtx ctx;
     ctx.self = &attrs_;
+    ctx.chare = this;
     return expr.test(ctx);
   });
 }

@@ -16,9 +16,12 @@
 //     return cpy::Value::none();
 //   });
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/charm.hpp"
 #include "model/dclass.hpp"
@@ -39,6 +42,61 @@ struct DTarget {
   }
 };
 
+namespace detail {
+
+/// Open-addressed table from a name to an entry pointing into node-based
+/// storage owned elsewhere (the attribute dict, the method registry).
+/// Linear probing over a power-of-two capacity kept at most half full;
+/// it grows by doubling. A probe matches on the cx::attr_key hash and
+/// then compares the name itself, so two names whose hashes collide
+/// never alias. `E` has a `key`, `bool empty() const` and
+/// `std::string_view name() const`.
+template <typename E>
+class NameIndex {
+ public:
+  [[nodiscard]] const E* find(cx::AttrKey key,
+                              std::string_view name) const noexcept {
+    if (slots_.empty()) return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = key & mask;; i = (i + 1) & mask) {
+      const E& e = slots_[i];
+      if (e.empty()) return nullptr;
+      if (e.key == key && e.name() == name) return &e;
+    }
+  }
+
+  /// Add an entry whose name is not in the table yet.
+  void insert(const E& e) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<E> old(std::max<std::size_t>(8, 2 * slots_.size()));
+      old.swap(slots_);
+      for (const E& o : old) {
+        if (!o.empty()) place(o);
+      }
+    }
+    place(e);
+    ++size_;
+  }
+
+  void clear() noexcept {
+    slots_.clear();
+    size_ = 0;
+  }
+
+ private:
+  void place(const E& e) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = e.key & mask;
+    while (!slots_[i].empty()) i = (i + 1) & mask;
+    slots_[i] = e;
+  }
+
+  std::vector<E> slots_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
+
 class DChare : public cx::Chare {
  public:
   DChare() = default;  ///< migration path (state arrives via pup)
@@ -58,9 +116,19 @@ class DChare : public cx::Chare {
   // --- state ---------------------------------------------------------------
 
   /// Attribute access (creates the attribute on write, like Python).
-  Value& operator[](const std::string& name);
+  /// Every access marks the attribute dirty for the when engine, since
+  /// the returned reference may be written through.
+  /// Always inlined, so a literal name's hash folds at compile time.
+  [[gnu::always_inline]] Value& operator[](std::string_view name) {
+    return attr(cx::attr_key(name), name);
+  }
   [[nodiscard]] bool has_attr(const std::string& name) const;
-  /// The whole attribute dict as a Value (shared reference).
+  /// Lookup for condition evaluation: never creates the attribute and
+  /// marks nothing dirty. `key` is cx::attr_key(name). Null if unset.
+  [[nodiscard]] const Value* find_attr(cx::AttrKey key,
+                                       std::string_view name);
+  /// The whole attribute dict as a Value (shared reference). Read it
+  /// only: the attribute index points into its nodes.
   [[nodiscard]] const Value& attrs() const noexcept { return attrs_; }
 
   [[nodiscard]] const std::string& dclass() const noexcept { return cls_; }
@@ -71,7 +139,7 @@ class DChare : public cx::Chare {
   /// see later redefinitions in place). Returns nullptr if unknown;
   /// misses are not cached, so methods defined later are still found.
   [[nodiscard]] const MethodDef* find_method_cached(
-      const std::string& method) const;
+      std::string_view method) const;
 
   /// Automatic migration serialization: class name + attribute dict.
   void pup(pup::Er& p) override;
@@ -107,13 +175,40 @@ class DChare : public cx::Chare {
   static double sim_dispatch_overhead() noexcept;
 
  private:
+  /// One attribute: its dict node and its dirty-clock tick slot.
+  struct AttrEntry {
+    cx::AttrKey key = 0;
+    Dict::value_type* node = nullptr;
+    std::uint64_t* tick = nullptr;
+    [[nodiscard]] bool empty() const noexcept { return node == nullptr; }
+    [[nodiscard]] std::string_view name() const noexcept {
+      return node->first;
+    }
+  };
+  struct MethodEntry {
+    cx::AttrKey key = 0;
+    const MethodDef* def = nullptr;
+    [[nodiscard]] bool empty() const noexcept { return def == nullptr; }
+    [[nodiscard]] std::string_view name() const noexcept {
+      return def->name;
+    }
+  };
+
   const MethodDef& resolve(const std::string& method) const;
+  /// operator[] with the name's hash given: `key` is cx::attr_key(name).
+  Value& attr(cx::AttrKey key, std::string_view name);
+  AttrEntry index_attr(cx::AttrKey key, Dict::value_type& node);
 
   std::string cls_;
+  /// The storage of record (pup, attrs(), repr); attr_index_ points
+  /// into its nodes, which std::map keeps address-stable.
   Value attrs_ = Value::dict({});
-  /// Per-instance resolution cache (positive entries only; not pupped —
-  /// it repopulates after migration).
-  mutable std::unordered_map<std::string, const MethodDef*> method_cache_;
+  /// Attribute index (not pupped: unpacking replaces the dict nodes, so
+  /// pup clears it and it refills on the next accesses).
+  detail::NameIndex<AttrEntry> attr_index_;
+  /// Per-instance method resolution cache (positive entries only; not
+  /// pupped — it repopulates after migration).
+  mutable detail::NameIndex<MethodEntry> method_index_;
 };
 
 }  // namespace cpy

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "model/dchare.hpp"
+
 namespace cpy {
 
 namespace {
@@ -174,7 +176,7 @@ class Lexer {
 enum class Op {
   Const,
   Name,
-  SelfAttr,  // folded self.<name>: direct attribute-dict lookup
+  SelfAttr,  // folded self.<name>: one attribute lookup by key and name
   Attr,
   Index,
   Call,
@@ -202,6 +204,7 @@ struct Expr::Node {
   Op op = Op::Const;
   Value lit;
   std::string name;  // Name / SelfAttr / Attr member / Call function
+  cx::AttrKey key = 0;  // SelfAttr: cx::attr_key(name)
   std::shared_ptr<const Node> a, b;
   std::vector<std::shared_ptr<const Node>> args;  // Call args / chain operands
   std::vector<Op> cmps;  // CmpChain comparators (args.size() - 1 of them)
@@ -374,10 +377,12 @@ class Parser {
         }
         auto n = std::make_shared<Node>();
         if (a->op == Op::Name && a->name == "self") {
-          // Fold `self.x` into one node: a direct dict lookup at eval
-          // time, and the unit of dependency extraction.
+          // Fold `self.x` into one node, keyed once here: one probe of
+          // the chare's attribute index at eval time, and the unit of
+          // dependency extraction.
           n->op = Op::SelfAttr;
           n->name = cur_.text;
+          n->key = cx::attr_key(n->name);
         } else {
           n->op = Op::Attr;
           n->name = cur_.text;
@@ -523,22 +528,20 @@ Value resolve_name(const EvalCtx& ctx, const std::string& name) {
                            "' is not defined in this condition");
 }
 
-Value self_attr(const EvalCtx& ctx, const std::string& name) {
-  if (ctx.self != nullptr && ctx.self->kind() == Kind::Dict) {
-    // Fast path: keyed lookup in the attribute dict, no Value boxing.
-    const Dict& d = ctx.self->as_dict();
-    const auto it = d.find(name);
-    if (it != d.end()) return it->second;
-    return ctx.self->item(Value(name));  // canonical KeyError
+Value self_attr(const EvalCtx& ctx, const Node& n) {
+  if (ctx.chare != nullptr) {
+    // Hot path: one probe of the chare's attribute index.
+    if (const Value* v = ctx.chare->find_attr(n.key, n.name)) return *v;
+    return ctx.chare->attrs().item(Value(n.name));  // canonical KeyError
   }
-  return resolve_name(ctx, "self").item(Value(name));
+  return resolve_name(ctx, "self").item(Value(n.name));
 }
 
 Value eval_node(const Node& n, const EvalCtx& ctx) {
   switch (n.op) {
     case Op::Const: return n.lit;
     case Op::Name: return resolve_name(ctx, n.name);
-    case Op::SelfAttr: return self_attr(ctx, n.name);
+    case Op::SelfAttr: return self_attr(ctx, n);
     case Op::Attr: {
       const Value base = eval_node(*n.a, ctx);
       return base.item(Value(n.name));
@@ -620,7 +623,7 @@ Value eval_node(const Node& n, const EvalCtx& ctx) {
 /// `self['x']` or `len(self)`).
 void collect_deps(const Node& n, cx::WhenDeps& deps, bool& opaque) {
   if (n.op == Op::SelfAttr) {
-    deps.add(cx::attr_key(n.name));
+    deps.add(n.key);
   } else if (n.op == Op::Name && n.name == "self") {
     opaque = true;
   }

@@ -37,13 +37,17 @@ namespace cpy {
 /// Resolves a bare identifier during evaluation ("self" included).
 using NameResolver = std::function<Value(const std::string&)>;
 
+class DChare;
+
 /// Non-allocating evaluation context — the hot-path alternative to
 /// NameResolver (which costs a std::function allocation per test).
 /// `self` resolves to the attribute dict; bare names resolve
 /// positionally through params/args; `fallback` (optional) handles
-/// anything else.
+/// anything else. With `chare` set, `self.x` reads go through the
+/// chare's attribute index (DChare::find_attr) instead of the dict.
 struct EvalCtx {
   const Value* self = nullptr;
+  DChare* chare = nullptr;
   const std::vector<std::string>* params = nullptr;
   const Args* args = nullptr;
   const NameResolver* fallback = nullptr;

@@ -665,6 +665,42 @@ TEST(Cxrun, RankExecFailureEndsJobPromptly) {
 }
 
 // ---------------------------------------------------------------------------
+// cxrun: a rank SIGKILLed after wireup, with no fault tolerance, while
+// rank 0 waits on a future. cxrun must reap the dead rank as it ends,
+// tear down the survivor and exit nonzero, not block on rank 0. The job
+// runs in its own process group so a hung cxrun can be cleaned up.
+
+TEST(Cxrun, RankDeathAfterWireupEndsJobPromptly) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::setpgid(0, 0);
+    ::execl(CHARMX_CXRUN_PATH, "cxrun", "-np", "2", CHARMX_RANK_DIES_PATH,
+            static_cast<char*>(nullptr));
+    ::_exit(126);
+  }
+  ASSERT_GT(pid, 0);
+  int st = 0;
+  pid_t done = 0;
+  while ((done = ::waitpid(pid, &st, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(20)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (done == 0) {
+    ::kill(-pid, SIGKILL);
+    (void)::waitpid(pid, &st, 0);
+    FAIL() << "cxrun still running after " << secs << " s";
+  }
+  ASSERT_EQ(done, pid);
+  EXPECT_TRUE(WIFEXITED(st));
+  EXPECT_NE(WEXITSTATUS(st), 0);
+  EXPECT_LT(secs, 5.0);
+}
+
+// ---------------------------------------------------------------------------
 // Full-runtime reduction parity: create_array spreads elements over
 // both ranks, the broadcast and the sum reduction cross the sockets,
 // and the result must match the threaded backend exactly.

@@ -169,7 +169,43 @@ struct LatchClass {
       self["ready"] = Value(1);
       return Value::none();
     });
+    cls.def("disarm", {}, [](DChare& self, Args&) {
+      self["ready"] = Value(0);
+      return Value::none();
+    });
+    // Writes the attribute named by a runtime std::string: it must reach
+    // the same attribute, and the same dirty mark, as the literal
+    // "ready" above and the `self.ready` of the condition.
+    cls.def("arm_by_name", {"name"}, [](DChare& self, Args& a) {
+      const std::string name = a[0].as_str();
+      self[name] = Value(1);
+      const bool same = &self[name] == &self["ready"];
+      return Value(same);
+    });
     cls.def("fired", {}, [](DChare& self, Args&) { return self["fired"]; });
+    // Evaluates a condition over a never-set attribute through the
+    // attribute index (as the when engine does) and through the plain
+    // dict, returning both error messages and whether it got created.
+    cls.def("probe_unset", {}, [](DChare& self, Args&) {
+      const Expr& cond = Expr::compile_cached("self.never_set == 1");
+      const auto error_of = [&](const EvalCtx& ctx) {
+        try {
+          (void)cond.test(ctx);
+        } catch (const std::exception& e) {
+          return std::string(e.what());
+        }
+        return std::string();
+      };
+      EvalCtx indexed;
+      indexed.self = &self.attrs();
+      indexed.chare = &self;
+      EvalCtx dict;
+      dict.self = &self.attrs();
+      return Value::tuple({Value(error_of(indexed)), Value(error_of(dict)),
+                           Value(self.has_attr("never_set")),
+                           Value(static_cast<std::int64_t>(
+                               self.attrs().length()))});
+    });
   }
 };
 const LatchClass latch_class;
@@ -182,8 +218,52 @@ TEST(DChare, WhenFiresAfterOtherMethodMutatesItsDependency) {
     l.send("arm", {});
     while (l.call("fired").get().as_int() < 1) {
     }
+
+    // A runtime std::string key and a literal key reach one attribute.
+    l.send("disarm", {});
+    l.send("fire", {});
+    EXPECT_EQ(l.call("fired").get().as_int(), 1);  // buffered again
+    EXPECT_TRUE(l.call("arm_by_name", {Value("ready")}).get().truthy());
+    while (l.call("fired").get().as_int() < 2) {
+    }
+
+    // Reading a never-set attribute raises today's KeyError and does
+    // not create it.
+    const Value probe = l.call("probe_unset").get();
+    const std::string indexed_error = probe.item(Value(0)).as_str();
+    EXPECT_NE(indexed_error.find("KeyError"), std::string::npos)
+        << indexed_error;
+    EXPECT_EQ(indexed_error, probe.item(Value(1)).as_str());
+    EXPECT_FALSE(probe.item(Value(2)).truthy());
+    EXPECT_EQ(probe.item(Value(3)).as_int(), 3);  // thisIndex, ready, fired
     cx::exit();
   });
+}
+
+// The attribute index matches on the hash and then on the name, so two
+// names with the same key (forced here; FNV-1a collisions are rare but
+// real) stay distinct entries, across growth too.
+struct NamedEntry {
+  cx::AttrKey key = 0;
+  const std::string* label = nullptr;
+  [[nodiscard]] bool empty() const noexcept { return label == nullptr; }
+  [[nodiscard]] std::string_view name() const noexcept { return *label; }
+};
+
+TEST(DChare, AttrIndexKeepsCollidingNamesApart) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 40; ++i) names.push_back("attr" + std::to_string(i));
+  cpy::detail::NameIndex<NamedEntry> index;
+  for (const std::string& n : names) index.insert({7, &n});  // one key
+  for (const std::string& n : names) {
+    const NamedEntry* e = index.find(7, n);
+    ASSERT_NE(e, nullptr) << n;
+    EXPECT_EQ(e->label, &n);
+  }
+  EXPECT_EQ(index.find(7, "attr40"), nullptr);
+  EXPECT_EQ(index.find(8, "attr0"), nullptr);
+  index.clear();
+  EXPECT_EQ(index.find(7, "attr0"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,8 +530,22 @@ struct NomadClass {
     DClass cls("Nomad");
     cls.def("__init__", {}, [](DChare& self, Args&) {
       self["history"] = Value::list({});
+      self["gate"] = Value(0);
+      self["passed"] = Value(0);
       return Value::none();
     });
+    // Buffered until the gate (written at the chare's current PE, after
+    // the hop) reaches `hop`.
+    cls.def("pass", {"hop"}, [](DChare& self, Args&) {
+      self["passed"] = Value(self["passed"].as_int() + 1);
+      return Value::none();
+    });
+    cls.when("pass", "self.gate >= hop");
+    cls.def("open_gate", {"hop"}, [](DChare& self, Args& a) {
+      self["gate"] = a[0];
+      return Value::none();
+    });
+    cls.def("passed", {}, [](DChare& self, Args&) { return self["passed"]; });
     cls.def("go_to", {"pe"}, [](DChare& self, Args& a) {
       self["history"].as_list().push_back(
           Value(static_cast<std::int64_t>(cx::my_pe())));
@@ -471,16 +565,42 @@ const NomadClass nomad_class;
 TEST(DChare, MigrationCarriesAttributeDictAutomatically) {
   run_program(threaded_cfg(3), [] {
     auto n = create_chare("Nomad", 0);
-    n.send("go_to", {Value(2)});
-    while (n.call("where").get().as_int() != 2) {
-    }
-    n.send("go_to", {Value(1)});
-    while (n.call("where").get().as_int() != 1) {
+    // After each hop, a when-gated message is buffered at the new PE and
+    // released by a write there: the unpacked chare's attribute index
+    // must point at its own dict and dirty clock, not the old ones.
+    std::int64_t hop = 0;
+    for (const int pe : {2, 1}) {
+      n.send("go_to", {Value(pe)});
+      while (n.call("where").get().as_int() != pe) {
+      }
+      ++hop;
+      n.send("pass", {Value(hop)});
+      EXPECT_EQ(n.call("passed").get().as_int(), hop - 1);  // buffered
+      n.send("open_gate", {Value(hop)});
+      while (n.call("passed").get().as_int() != hop) {
+      }
     }
     const Value hist = n.call("history").get();
     ASSERT_EQ(hist.length(), 2u);
     EXPECT_EQ(hist.item(Value(0)).as_int(), 0);
     EXPECT_EQ(hist.item(Value(1)).as_int(), 2);
+
+    // The same pup, unpacked into a live instance whose index already
+    // points into its old dict (kept alive here through a shared
+    // reference): reads and writes must reach the unpacked dict.
+    DChare live;
+    live["a"] = Value(1);
+    const std::vector<std::byte> blob = pup::to_bytes(live);
+    live["a"] = Value(2);
+    live["b"] = Value(3);
+    const Value old_dict = live.attrs();
+    pup::Unpacker u(blob.data(), blob.size());
+    live.pup(u);
+    EXPECT_EQ(live["a"].as_int(), 1);
+    live["a"] = Value(4);
+    EXPECT_EQ(live.attrs().item(Value("a")).as_int(), 4);
+    EXPECT_EQ(old_dict.item(Value("a")).as_int(), 2);
+    EXPECT_FALSE(live.has_attr("b"));
     cx::exit();
   });
 }
