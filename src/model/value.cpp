@@ -9,6 +9,10 @@ namespace cpy {
 
 namespace {
 
+using StrPtr = std::shared_ptr<const std::string>;
+using BytesPtr = std::shared_ptr<const std::vector<std::byte>>;
+using ProxyPtr = std::shared_ptr<const ProxyRef>;
+
 [[noreturn]] void type_error(const std::string& what, Kind got) {
   throw std::runtime_error("TypeError: expected " + what + ", got " +
                            kind_name(got));
@@ -21,9 +25,23 @@ void pup_ndbuffer(pup::Er& p, std::shared_ptr<NdBuffer<T>>& arr) {
   p | arr->shape;
   std::uint64_t n = arr->data.size();
   p | n;
+  pup::check_count(p, n, sizeof(T));
   if (p.unpacking()) arr->data.resize(static_cast<std::size_t>(n));
   if (n != 0) {
     p.bytes(arr->data.data(), static_cast<std::size_t>(n) * sizeof(T));
+  }
+}
+
+/// Immutable payloads: unpack into a fresh object and re-point; pack and
+/// size read through the pointer (the traversal does not write then).
+template <typename T>
+void pup_immutable(pup::Er& p, std::shared_ptr<const T>& ptr) {
+  if (p.unpacking()) {
+    T fresh{};
+    p | fresh;
+    ptr = std::make_shared<const T>(std::move(fresh));
+  } else {
+    p | const_cast<T&>(*ptr);
   }
 }
 
@@ -116,12 +134,12 @@ double Value::as_real() const {
 }
 
 const std::string& Value::as_str() const {
-  if (const auto* s = std::get_if<std::string>(&v_)) return *s;
+  if (const auto* s = std::get_if<StrPtr>(&v_)) return **s;
   type_error("str", kind());
 }
 
 const std::vector<std::byte>& Value::as_bytes() const {
-  if (const auto* b = std::get_if<std::vector<std::byte>>(&v_)) return *b;
+  if (const auto* b = std::get_if<BytesPtr>(&v_)) return **b;
   type_error("bytes", kind());
 }
 
@@ -160,7 +178,7 @@ const I64Array& Value::as_i64_array() const {
 }
 
 const ProxyRef& Value::as_proxy() const {
-  if (const auto* p = std::get_if<ProxyRef>(&v_)) return *p;
+  if (const auto* p = std::get_if<ProxyPtr>(&v_)) return **p;
   type_error("proxy", kind());
 }
 
@@ -170,8 +188,8 @@ bool Value::truthy() const {
     case Kind::Bool: return std::get<bool>(v_);
     case Kind::Int: return std::get<std::int64_t>(v_) != 0;
     case Kind::Real: return std::get<double>(v_) != 0.0;
-    case Kind::Str: return !std::get<std::string>(v_).empty();
-    case Kind::Bytes: return !std::get<std::vector<std::byte>>(v_).empty();
+    case Kind::Str: return !as_str().empty();
+    case Kind::Bytes: return !as_bytes().empty();
     case Kind::List:
     case Kind::Tuple:
     case Kind::Dict:
@@ -184,8 +202,8 @@ bool Value::truthy() const {
 
 std::uint64_t Value::length() const {
   switch (kind()) {
-    case Kind::Str: return std::get<std::string>(v_).size();
-    case Kind::Bytes: return std::get<std::vector<std::byte>>(v_).size();
+    case Kind::Str: return as_str().size();
+    case Kind::Bytes: return as_bytes().size();
     case Kind::List:
     case Kind::Tuple: return as_list().size();
     case Kind::Dict: return as_dict().size();
@@ -317,9 +335,9 @@ std::string Value::repr() const {
     case Kind::Bool: os << (std::get<bool>(v_) ? "True" : "False"); break;
     case Kind::Int: os << std::get<std::int64_t>(v_); break;
     case Kind::Real: os << std::get<double>(v_); break;
-    case Kind::Str: os << '\'' << std::get<std::string>(v_) << '\''; break;
+    case Kind::Str: os << '\'' << as_str() << '\''; break;
     case Kind::Bytes:
-      os << "b'<" << std::get<std::vector<std::byte>>(v_).size() << " bytes>'";
+      os << "b'<" << as_bytes().size() << " bytes>'";
       break;
     case Kind::List:
     case Kind::Tuple: {
@@ -364,34 +382,46 @@ void Value::pup(pup::Er& p) {
       p.unpacking() ? 0 : static_cast<std::uint8_t>(v_.index());
   p | tag;
   if (p.unpacking()) {
+    // Pointer kinds start empty and get their payload below; a Value
+    // whose unpack throws is reset to None, never left half-made.
     switch (tag) {
       case 0: v_ = std::monostate{}; break;
       case 1: v_ = false; break;
       case 2: v_ = std::int64_t{0}; break;
       case 3: v_ = 0.0; break;
-      case 4: v_ = std::string(); break;
-      case 5: v_ = std::vector<std::byte>(); break;
-      case 6: v_ = boxed({}, false); break;
-      case 7: v_ = std::make_shared<Dict>(); break;
-      case 8: v_ = std::make_shared<NdBuffer<double>>(); break;
-      case 9: v_ = std::make_shared<NdBuffer<std::int64_t>>(); break;
-      case 10: v_ = ProxyRef{}; break;
+      case 4: v_ = StrPtr(); break;
+      case 5: v_ = BytesPtr(); break;
+      case 6: v_ = std::shared_ptr<Boxed>(); break;
+      case 7: v_ = std::shared_ptr<Dict>(); break;
+      case 8: v_ = F64Array(); break;
+      case 9: v_ = I64Array(); break;
+      case 10: v_ = ProxyPtr(); break;
       default: throw std::runtime_error("Value: corrupt tag");
     }
   }
+  try {
+    pup_payload(p);
+  } catch (...) {
+    if (p.unpacking()) v_ = std::monostate{};
+    throw;
+  }
+}
+
+void Value::pup_payload(pup::Er& p) {
   switch (v_.index()) {
     case 0: break;
     case 1: p | std::get<bool>(v_); break;
     case 2: p | std::get<std::int64_t>(v_); break;
     case 3: p | std::get<double>(v_); break;
-    case 4: p | std::get<std::string>(v_); break;
-    case 5: p | std::get<std::vector<std::byte>>(v_); break;
+    case 4: pup_immutable(p, std::get<StrPtr>(v_)); break;
+    case 5: pup_immutable(p, std::get<BytesPtr>(v_)); break;
     case 6: {
       auto& b = std::get<std::shared_ptr<Boxed>>(v_);
       if (p.unpacking()) b = boxed({}, false);
       p | b->is_tuple;
       std::uint64_t n = b->items.size();
       p | n;
+      pup::check_count(p, n, 1);  // an item is at least its tag
       if (p.unpacking()) b->items.resize(static_cast<std::size_t>(n));
       for (auto& e : b->items) e.pup(p);
       break;
@@ -401,6 +431,8 @@ void Value::pup(pup::Er& p) {
       if (p.unpacking()) d = std::make_shared<Dict>();
       std::uint64_t n = d->size();
       p | n;
+      // An entry is at least a key length and a value tag.
+      pup::check_count(p, n, sizeof(std::uint64_t) + 1);
       if (p.unpacking()) {
         for (std::uint64_t i = 0; i < n; ++i) {
           std::string k;
@@ -420,7 +452,7 @@ void Value::pup(pup::Er& p) {
     }
     case 8: pup_ndbuffer(p, std::get<F64Array>(v_)); break;
     case 9: pup_ndbuffer(p, std::get<I64Array>(v_)); break;
-    case 10: std::get<ProxyRef>(v_).pup(p); break;
+    case 10: pup_immutable(p, std::get<ProxyPtr>(v_)); break;
   }
 }
 

@@ -8,6 +8,17 @@
 // contiguous buffers (the NumPy fast path — serialized by direct memcpy
 // with shape metadata in the header, and shared by reference between
 // same-process chares).
+//
+// Layout: 24 bytes (a std::variant of a 16-byte alternative plus its
+// index). None/bool/int/float sit inline; every other kind is one
+// shared pointer. Lists, tuples, dicts and arrays are shared and
+// mutable, as in Python. Strings, bytes and proxies are immutable:
+// they sit behind std::shared_ptr<const T>, only const references to
+// them are handed out, and a Value is re-pointed rather than written
+// through, so copies share the payload without copy-on-write and keep
+// value semantics. Copying any Value is a refcount bump at most. The
+// PUP encoding is the variant index as a one-byte tag followed by the
+// payload, and does not depend on this layout.
 
 #include <cstdint>
 #include <map>
@@ -82,14 +93,16 @@ class Value {
   Value(std::int64_t i) : v_(i) {}
   Value(std::uint64_t i) : v_(static_cast<std::int64_t>(i)) {}
   Value(double d) : v_(d) {}
-  Value(const char* s) : v_(std::string(s)) {}
-  Value(std::string s) : v_(std::move(s)) {}
-  Value(std::vector<std::byte> b) : v_(std::move(b)) {}
+  Value(const char* s) : v_(std::make_shared<const std::string>(s)) {}
+  Value(std::string s)
+      : v_(std::make_shared<const std::string>(std::move(s))) {}
+  Value(std::vector<std::byte> b)
+      : v_(std::make_shared<const std::vector<std::byte>>(std::move(b))) {}
   Value(List l) : v_(boxed(std::move(l), /*tuple=*/false)) {}
   Value(Dict d) : v_(std::make_shared<Dict>(std::move(d))) {}
   Value(F64Array a) : v_(std::move(a)) {}
   Value(I64Array a) : v_(std::move(a)) {}
-  Value(ProxyRef p) : v_(std::move(p)) {}
+  Value(ProxyRef p) : v_(std::make_shared<const ProxyRef>(std::move(p))) {}
 
   static Value none() { return Value(); }
   static Value tuple(List items) {
@@ -155,6 +168,8 @@ class Value {
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
  private:
+  void pup_payload(pup::Er& p);
+
   struct Boxed {  // list or tuple
     List items;
     bool is_tuple = false;
@@ -166,12 +181,18 @@ class Value {
     return b;
   }
 
+  // The alternative's index is the PUP tag: keep the order.
   using Storage =
-      std::variant<std::monostate, bool, std::int64_t, double, std::string,
-                   std::vector<std::byte>, std::shared_ptr<Boxed>,
-                   std::shared_ptr<Dict>, F64Array, I64Array, ProxyRef>;
+      std::variant<std::monostate, bool, std::int64_t, double,
+                   std::shared_ptr<const std::string>,
+                   std::shared_ptr<const std::vector<std::byte>>,
+                   std::shared_ptr<Boxed>, std::shared_ptr<Dict>, F64Array,
+                   I64Array, std::shared_ptr<const ProxyRef>>;
   Storage v_;
 };
+
+static_assert(sizeof(Value) <= 24,
+              "cpy::Value keeps only scalars inline; box the new kind");
 
 /// Argument pack of a dynamic entry method.
 using Args = std::vector<Value>;

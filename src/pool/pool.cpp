@@ -379,8 +379,7 @@ void define_worker() {
       }
       cx::trace::detail::g_pool.note_task(
           static_cast<std::uint64_t>((cx::now() - t0) * 1e9));
-      ranges_mut(self["rids"]).push_back(id);
-      ranges_mut(self["rids"]).push_back(1);
+      ranges_append(ranges_mut(self["rids"]), id, 1);
       self["rvals"].as_list().push_back(std::move(result));
       --budget;
       if (static_cast<std::int64_t>(self["rvals"].length()) >=

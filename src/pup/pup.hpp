@@ -17,7 +17,10 @@
 // std::unordered_map, std::set, std::optional, and any type with a
 // `void pup(pup::Er&)` member. Contiguous trivially-copyable vectors
 // are packed with a single memcpy (the NumPy-array fast path of the
-// paper's serialization layer builds on this).
+// paper's serialization layer builds on this). Unpacking checks every
+// element count read off the wire against the bytes left before it
+// allocates (check_count), so a corrupt or hostile buffer throws
+// std::length_error instead of asking for terabytes.
 //
 // Wire format caveat: fields are packed host-endian and host-width
 // (raw memcpy, no swapping). Within one process that is invisible; the
@@ -30,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -61,6 +65,11 @@ class Er {
 
   /// Traverse `n` raw bytes at `p` (read on pack, write on unpack).
   virtual void bytes(void* p, std::size_t n) = 0;
+
+  /// Bytes left to read when unpacking; unbounded otherwise.
+  [[nodiscard]] virtual std::size_t remaining() const noexcept {
+    return std::numeric_limits<std::size_t>::max();
+  }
 
  protected:
   explicit Er(Mode m) : mode_(m) {}
@@ -111,12 +120,25 @@ class Unpacker final : public Er {
     off_ += n;
   }
   [[nodiscard]] std::size_t offset() const noexcept { return off_; }
+  [[nodiscard]] std::size_t remaining() const noexcept override {
+    return len_ - off_;
+  }
 
  private:
   const std::byte* buf_;
   std::size_t len_;
   std::size_t off_ = 0;
 };
+
+/// Unpacking guard for a count read off the wire: throws
+/// std::length_error unless `n` elements of at least `min_bytes` encoded
+/// bytes each fit in what is left to read, so a corrupt or hostile count
+/// fails before anything is allocated for it.
+inline void check_count(const Er& p, std::uint64_t n, std::size_t min_bytes) {
+  if (p.unpacking() && n > p.remaining() / min_bytes) {
+    throw std::length_error("pup: count exceeds the remaining bytes");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch
@@ -141,16 +163,19 @@ inline void operator|(Er& p, T& t) {
 inline void operator|(Er& p, std::string& s) {
   std::uint64_t n = s.size();
   p | n;
+  check_count(p, n, 1);
   if (p.unpacking()) s.resize(static_cast<std::size_t>(n));
   if (n) p.bytes(s.data(), static_cast<std::size_t>(n));
 }
 
 template <typename T>
 inline void operator|(Er& p, std::vector<T>& v) {
+  constexpr bool kRaw = std::is_trivially_copyable_v<T> && !HasMemberPup<T>;
   std::uint64_t n = v.size();
   p | n;
+  check_count(p, n, kRaw ? sizeof(T) : 1);
   if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
-  if constexpr (std::is_trivially_copyable_v<T> && !HasMemberPup<T>) {
+  if constexpr (kRaw) {
     if (n) p.bytes(v.data(), static_cast<std::size_t>(n) * sizeof(T));
   } else {
     for (auto& e : v) p | e;
@@ -160,6 +185,7 @@ inline void operator|(Er& p, std::vector<T>& v) {
 inline void operator|(Er& p, std::vector<bool>& v) {
   std::uint64_t n = v.size();
   p | n;
+  check_count(p, n, 1);
   if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < v.size(); ++i) {
     std::uint8_t b = p.unpacking() ? 0 : static_cast<std::uint8_t>(v[i]);
@@ -229,6 +255,7 @@ inline void operator|(Er& p, std::unordered_map<K, V, H, E, A>& m) {
   std::uint64_t n = m.size();
   p | n;
   if (p.unpacking()) {
+    check_count(p, n, 1);
     m.clear();
     m.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {

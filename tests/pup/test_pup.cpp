@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -127,6 +128,48 @@ TEST(Pup, UnpackerUnderflowThrows) {
   pup::Unpacker u(tiny, sizeof(tiny));
   std::string s;
   EXPECT_THROW(u | s, std::length_error);
+}
+
+// A count read off the wire that the remaining bytes cannot hold is
+// rejected before anything is allocated for it (a blob claiming 2^40
+// elements must not make resize() ask for terabytes).
+std::vector<std::byte> blob_claiming(std::uint64_t count) {
+  std::vector<std::byte> buf(sizeof(count) + 16, std::byte{0x41});
+  std::memcpy(buf.data(), &count, sizeof(count));
+  return buf;
+}
+
+constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 40;
+
+TEST(Pup, HostileStringLengthThrows) {
+  const auto blob = blob_claiming(kHostileCount);
+  EXPECT_THROW((void)pup::from_bytes<std::string>(blob), std::length_error);
+  // One more byte than is left is already too many.
+  EXPECT_THROW((void)pup::from_bytes<std::string>(blob_claiming(17)),
+               std::length_error);
+  EXPECT_EQ(pup::from_bytes<std::string>(blob_claiming(16)).size(), 16u);
+}
+
+TEST(Pup, HostileVectorLengthThrows) {
+  const auto blob = blob_claiming(kHostileCount);
+  EXPECT_THROW((void)pup::from_bytes<std::vector<double>>(blob),
+               std::length_error);
+  EXPECT_THROW((void)pup::from_bytes<std::vector<std::string>>(blob),
+               std::length_error);
+  EXPECT_THROW((void)pup::from_bytes<std::vector<bool>>(blob),
+               std::length_error);
+  // Raw element vectors are bounded by their element size: 16 bytes
+  // hold two doubles, not three.
+  EXPECT_THROW((void)pup::from_bytes<std::vector<double>>(blob_claiming(3)),
+               std::length_error);
+  EXPECT_EQ(pup::from_bytes<std::vector<double>>(blob_claiming(2)).size(),
+            2u);
+}
+
+TEST(Pup, HostileUnorderedMapCountThrows) {
+  using M = std::unordered_map<std::string, int>;
+  EXPECT_THROW((void)pup::from_bytes<M>(blob_claiming(kHostileCount)),
+               std::length_error);
 }
 
 TEST(Pup, PackArgs) {
