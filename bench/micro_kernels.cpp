@@ -105,16 +105,49 @@ BENCHMARK(BM_ExprEvalWhenCondition);
 
 // -------------------------------------------------------------- kernels
 
+/// An n^3 block whose ghost layers hold 1.0 in both buffers, so repeated
+/// sweeps relax the field toward 1.0. With zero ghosts it decays toward
+/// 0, and after ~1e5 sweeps of a small block the timing would measure
+/// subnormal arithmetic instead of the kernel.
+std::vector<double> relaxing_block(int n) {
+  std::vector<double> f;
+  stencil::kern::init_field(stencil::Geometry{1, 1, 1, n, n, n}, 0, 0, 0, f);
+  const std::vector<double> ones(static_cast<std::size_t>(n) * n, 1.0);
+  for (int face = 0; face < 6; ++face) {
+    stencil::kern::inject_face(n, n, n, f, face, ones);
+  }
+  return f;
+}
+
 void BM_StencilKernel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  stencil::Geometry g{1, 1, 1, n, n, n};
-  stencil::Block b(g, 0, 0, 0);
+  std::vector<double> cur = relaxing_block(n);
+  std::vector<double> next = cur;
   for (auto _ : state) {
-    b.compute();
+    stencil::kern::compute(n, n, n, cur, next);
+    cur.swap(next);
+    benchmark::DoNotOptimize(cur.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_StencilKernel)->Arg(8)->Arg(16)->Arg(32);
+
+/// One block's halo traffic: extract all six faces, inject all six.
+void BM_StencilHaloFaces(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<double> f = relaxing_block(n);
+  for (auto _ : state) {
+    for (int face = 0; face < 6; ++face) {
+      const auto data = stencil::kern::extract_face(n, n, n, f, face);
+      stencil::kern::inject_face(n, n, n, f, face ^ 1, data);
+    }
+    benchmark::DoNotOptimize(f.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 6 * n * n);
+}
+BENCHMARK(BM_StencilHaloFaces)->Arg(16)->Arg(32);
 
 void BM_LJPairForces(benchmark::State& state) {
   leanmd::PhysParams p;

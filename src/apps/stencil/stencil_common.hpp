@@ -81,6 +81,16 @@ struct Params {
 // (nx+2)*(ny+2)*(nz+2). These are the "numba-compiled" functions of the
 // paper: the dynamic (cpy) variant applies them directly to the buffers
 // of its array attributes, the typed variant through the Block wrapper.
+//
+// `compute` sweeps the field row by row over raw pointers and does two
+// cells per 16-byte SIMD register (GCC/Clang vector extension), two
+// registers per loop step with a scalar tail. Each lane does the scalar
+// update's seven adds in the same order and divides by 7.0, so results
+// are bit-identical to the one-cell-at-a-time loop on every backend. Face
+// copies move whole nz-cell rows with memcpy (faces 0-3) or one strided
+// pass (faces 4/5). compute and the face copies throw
+// std::invalid_argument on a field of the wrong size, and inject_face
+// also when `data` is not exactly one face.
 namespace kern {
 
 std::size_t field_size(int nx, int ny, int nz);

@@ -51,16 +51,6 @@ void register_map(const std::string& name, MapFn fn) {
   r.maps[name] = std::move(fn);
 }
 
-const MapFn& lookup_map(const std::string& name) {
-  auto& r = MapRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.maps.find(name);
-  if (it == r.maps.end()) {
-    throw std::out_of_range("unknown placement map: " + name);
-  }
-  return it->second;
-}
-
 std::uint64_t linearize(const Index& idx, const Index& dims) {
   std::uint64_t lin = 0;
   for (int i = 0; i < dims.ndims(); ++i) {
@@ -79,6 +69,32 @@ std::uint64_t dense_size(const Index& dims) {
 }
 
 int home_pe(const CollectionInfo& info, const Index& idx, int num_pes) {
+  return home_pe(info, resolve_map(info), idx, num_pes);
+}
+
+MapFn resolve_map(const CollectionInfo& info) {
+  switch (info.kind) {
+    case CollectionKind::Singleton:
+    case CollectionKind::Group:
+      return {};
+    case CollectionKind::Array:
+    case CollectionKind::SparseArray: {
+      // Copy under the lock: a concurrent register_map of the same name
+      // replaces the registry's entry in place.
+      auto& r = MapRegistry::instance();
+      std::lock_guard<std::mutex> lock(r.mutex);
+      const auto it = r.maps.find(info.map_name);
+      if (it == r.maps.end()) {
+        throw std::out_of_range("unknown placement map: " + info.map_name);
+      }
+      return it->second;
+    }
+  }
+  return {};
+}
+
+int home_pe(const CollectionInfo& info, const MapFn& map, const Index& idx,
+            int num_pes) {
   switch (info.kind) {
     case CollectionKind::Singleton:
       return info.fixed_pe;
@@ -86,7 +102,7 @@ int home_pe(const CollectionInfo& info, const Index& idx, int num_pes) {
       return idx[0];
     case CollectionKind::Array:
     case CollectionKind::SparseArray:
-      return lookup_map(info.map_name)(idx, info, num_pes);
+      return map(idx, info, num_pes);
   }
   return 0;
 }

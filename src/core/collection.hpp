@@ -51,9 +51,6 @@ using MapFn = std::function<int(const Index& idx, const CollectionInfo& info,
 /// Register a custom placement map under `name` (process-global).
 void register_map(const std::string& name, MapFn fn);
 
-/// Look up a map by name; throws std::out_of_range for unknown names.
-const MapFn& lookup_map(const std::string& name);
-
 /// Row-major linearization of a dense index.
 std::uint64_t linearize(const Index& idx, const Index& dims);
 
@@ -61,6 +58,18 @@ std::uint64_t linearize(const Index& idx, const Index& dims);
 std::uint64_t dense_size(const Index& dims);
 
 /// Home/initial PE of an element (map-based; singleton/group are fixed).
+/// Looks the map up by name on every call; the runtime resolves it once
+/// per collection instead (resolve_map below).
 int home_pe(const CollectionInfo& info, const Index& idx, int num_pes);
+
+/// The placement map of `info`, copied out of the registry so later
+/// home_pe calls skip the registry lock and name lookup. Empty for
+/// singletons and groups, whose placement is fixed; throws
+/// std::out_of_range for an unknown map name.
+MapFn resolve_map(const CollectionInfo& info);
+
+/// home_pe with the map already resolved by resolve_map(info).
+int home_pe(const CollectionInfo& info, const MapFn& map, const Index& idx,
+            int num_pes);
 
 }  // namespace cx

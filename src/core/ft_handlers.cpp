@@ -458,7 +458,7 @@ void Runtime::Impl::on_restore(MessagePtr msg) {
     PeBlob blob = pup::from_bytes<PeBlob>(bytes);
     for (auto& cb : blob.colls) {
       CollMeta& cm = ps.colls[cb.info.id];
-      cm.info = cb.info;
+      cm.install(cb.info);
       const auto& fac = Registry::instance().factory(cb.info.ctor);
       if (fac.construct_default == nullptr) {
         CX_LOG_ERROR("chare type of collection ", cb.info.id,
@@ -500,7 +500,7 @@ void Runtime::Impl::on_restore(MessagePtr msg) {
       const auto cit = ps.colls.find(sb.spec.coll);
       if (cit != ps.colls.end()) {
         for (const Index& m : sm.spec.members) {
-          if (home_pe(cit->second.info, m, P) == mype()) {
+          if (cit->second.home(m, P) == mype()) {
             sm.home_members.push_back(m);
           }
         }

@@ -22,7 +22,7 @@ void Runtime::Impl::route_entry_msg(CollMeta& cm, const Index& idx,
   if (ov != cm.overrides.end()) {
     dst = ov->second;
   } else {
-    const int home = home_pe(cm.info, idx, P);
+    const int home = cm.home(idx, P);
     if (home == mype()) {
       // I'm the home and have no forwarding info: the element does not
       // exist yet (creation/insertion in flight). Buffer until it does.
@@ -124,7 +124,7 @@ void Runtime::Impl::do_migrate(Chare* obj, int to_pe, bool for_lb) {
   // Any section counting this element among its local members must
   // re-derive its delivery split: bump the epoch, repair lazily.
   invalidate_section_routes(coll, idx);
-  const int home = home_pe(cm.info, idx, P);
+  const int home = cm.home(idx, P);
   if (home != mype()) {
     LocUpdateHeader lh;
     lh.coll = coll;
@@ -143,7 +143,7 @@ void Runtime::Impl::on_create(MessagePtr msg) {
   // Forward down the creation tree first.
   forward_tree(h_create, h.root, msg->data);
   auto& cm = me().colls[h.info.id];
-  cm.info = h.info;
+  cm.install(h.info);
   switch (h.info.kind) {
     case CollectionKind::Singleton:
       if (h.info.fixed_pe == mype()) construct_element(cm, Index(0));
@@ -152,7 +152,7 @@ void Runtime::Impl::on_create(MessagePtr msg) {
       construct_element(cm, Index(mype()));
       break;
     case CollectionKind::Array:
-      for_each_local_index(h.info,
+      for_each_local_index(cm,
                            [&](const Index& idx) { construct_element(cm, idx); });
       break;
     case CollectionKind::SparseArray:
@@ -240,7 +240,7 @@ void Runtime::Impl::on_insert(MessagePtr msg) {
   if (!h.routed) {
     // Placement phase: this PE now knows the collection; resolve the
     // destination and hand the element over for construction.
-    const int home = home_pe(cm.info, h.idx, P);
+    const int home = cm.home(h.idx, P);
     const int dst = h.on_pe >= 0 ? h.on_pe : home;
     InsertHeader out = h;
     out.routed = true;

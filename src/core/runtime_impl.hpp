@@ -162,9 +162,21 @@ Index delinearize(std::uint64_t lin, const Index& dims);
 
 struct CollMeta {
   CollectionInfo info;
+  /// resolve_map(info), set together with `info` when the creation
+  /// broadcast or a restore installs the collection: routing a send
+  /// never touches the process-global map registry.
+  MapFn map;
   std::unordered_map<Index, std::unique_ptr<Chare>, IndexHash> elements;
   std::unordered_map<Index, int, IndexHash> overrides;  ///< migrated homes
   std::unordered_map<Index, std::vector<MessagePtr>, IndexHash> pending;
+
+  void install(const CollectionInfo& ci) {
+    info = ci;
+    map = resolve_map(ci);
+  }
+  [[nodiscard]] int home(const Index& idx, int num_pes) const {
+    return home_pe(info, map, idx, num_pes);
+  }
 };
 
 struct RedState {
@@ -402,7 +414,8 @@ struct Runtime::Impl {
 
   /// Enumerate the dense-array indexes whose home is this PE.
   template <typename Fn>
-  void for_each_local_index(const CollectionInfo& info, Fn&& fn) {
+  void for_each_local_index(const CollMeta& cm, Fn&& fn) {
+    const CollectionInfo& info = cm.info;
     const std::uint64_t n = dense_size(info.dims);
     const auto up = static_cast<std::uint64_t>(P);
     const auto pe = static_cast<std::uint64_t>(mype());
@@ -417,10 +430,9 @@ struct Runtime::Impl {
         fn(delinearize(lin, info.dims));
       }
     } else {
-      const auto& map = lookup_map(info.map_name);
       for (std::uint64_t lin = 0; lin < n; ++lin) {
         const Index idx = delinearize(lin, info.dims);
-        if (map(idx, info, P) == mype()) fn(idx);
+        if (cm.home(idx, P) == mype()) fn(idx);
       }
     }
   }

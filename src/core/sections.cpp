@@ -28,24 +28,22 @@ void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 // ---- spec-derived topology ------------------------------------------------
 
 tree::SpanningTree Runtime::Impl::section_tree(const SectionSpec& spec) const {
-  const auto& info = pes[static_cast<std::size_t>(machine->current_pe())]
-                         ->colls.at(spec.coll)
-                         .info;
+  const CollMeta& cm = pes[static_cast<std::size_t>(machine->current_pe())]
+                           ->colls.at(spec.coll);
   std::vector<int> hosts;
   hosts.reserve(spec.members.size());
-  for (const Index& m : spec.members) hosts.push_back(home_pe(info, m, P));
+  for (const Index& m : spec.members) hosts.push_back(cm.home(m, P));
   return tree::make_spanning_tree(std::move(hosts), spec.arity);
 }
 
 std::uint64_t Runtime::Impl::sect_subtree_expected(
     const SectionSpec& spec) const {
   const tree::SpanningTree t = section_tree(spec);
-  const auto& info = pes[static_cast<std::size_t>(machine->current_pe())]
-                         ->colls.at(spec.coll)
-                         .info;
+  const CollMeta& cm = pes[static_cast<std::size_t>(machine->current_pe())]
+                           ->colls.at(spec.coll);
   std::vector<std::uint64_t> weight(static_cast<std::size_t>(t.size()), 0);
   for (const Index& m : spec.members) {
-    const int pos = t.pos_of(home_pe(info, m, P));
+    const int pos = t.pos_of(cm.home(m, P));
     weight[static_cast<std::size_t>(pos)]++;
   }
   return tree::kary_subtree_sum(t.pos_of(machine->current_pe()), t.size(),
@@ -58,9 +56,9 @@ SectMeta& Runtime::Impl::install_section(const SectionSpec& spec) {
   SectMeta& sm = it->second;
   if (fresh) {
     sm.spec = spec;
-    const auto& info = ps.colls.at(spec.coll).info;
+    const CollMeta& cm = ps.colls.at(spec.coll);
     for (const Index& m : spec.members) {
-      if (home_pe(info, m, P) == mype()) sm.home_members.push_back(m);
+      if (cm.home(m, P) == mype()) sm.home_members.push_back(m);
     }
   }
   // Flush operations that raced ahead of the build (idempotent).
@@ -330,7 +328,7 @@ SectionHandle section_create(CollectionId coll, std::vector<Index> members) {
     std::vector<int> hosts;
     hosts.reserve(spec.members.size());
     for (const Index& m : spec.members) {
-      hosts.push_back(home_pe(cit->second.info, m, I.P));
+      hosts.push_back(cit->second.home(m, I.P));
     }
     handle.root = tree::make_spanning_tree(std::move(hosts), spec.arity)
                       .root();
@@ -380,8 +378,8 @@ void section_contribute_bytes(Chare& chare, std::uint64_t sect,
   h.contributor = chare.this_index();
   // Always via the home PE — the element's delegate node in the section
   // tree — so a migrated member's contribution needs no special path.
-  const auto& info = I.me().colls.at(chare.collection()).info;
-  const int home = home_pe(info, chare.this_index(), I.P);
+  const int home =
+      I.me().colls.at(chare.collection()).home(chare.this_index(), I.P);
   I.rt_send(wire::make_msg(I.h_sect_reduce, home, h, value));
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "apps/stencil/stencil_common.hpp"
 #include "apps/stencil/stencil_cpy.hpp"
 #include "apps/stencil/stencil_cx.hpp"
@@ -42,15 +46,154 @@ TEST(StencilKernel, SingleBlockMatchesSerial) {
   EXPECT_NEAR(b.checksum(), serial_checksum(g, 5), 1e-9);
 }
 
-TEST(StencilKernel, FaceRoundtrip) {
-  Geometry g{1, 1, 1, 4, 5, 6};
-  Block a(g, 0, 0, 0);
-  for (int face = 0; face < 6; ++face) {
-    const auto data = a.extract_face(face);
-    EXPECT_EQ(static_cast<std::int64_t>(data.size()), a.face_cells(face));
-    Block b(g, 0, 0, 0);
-    b.inject_face(face, data);  // must not throw / corrupt
+// The one-cell-at-a-time Jacobi loop kern::compute replaced: the SIMD
+// sweep must reproduce it bit for bit.
+void scalar_compute(int nx, int ny, int nz, const std::vector<double>& cur,
+                    std::vector<double>& next) {
+  const auto at = [&](int i, int j, int k) {
+    return (static_cast<std::size_t>(i) * static_cast<std::size_t>(ny + 2) +
+            static_cast<std::size_t>(j)) *
+               static_cast<std::size_t>(nz + 2) +
+           static_cast<std::size_t>(k);
+  };
+  for (int i = 1; i <= nx; ++i) {
+    for (int j = 1; j <= ny; ++j) {
+      for (int k = 1; k <= nz; ++k) {
+        next[at(i, j, k)] =
+            (cur[at(i, j, k)] + cur[at(i - 1, j, k)] + cur[at(i + 1, j, k)] +
+             cur[at(i, j - 1, k)] + cur[at(i, j + 1, k)] +
+             cur[at(i, j, k - 1)] + cur[at(i, j, k + 1)]) /
+            7.0;
+      }
+    }
   }
+}
+
+std::vector<double> random_field(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> dist(-1e3, 1e3);
+  std::vector<double> f(n);
+  for (double& v : f) v = dist(rng);
+  return f;
+}
+
+TEST(StencilKernel, ComputeIsBitIdenticalToScalarLoop) {
+  std::mt19937_64 rng(20181015);
+  for (const int nz : {1, 2, 3, 5, 16, 17}) {
+    const int nx = 4;
+    const int ny = 7;
+    const std::size_t size = kern::field_size(nx, ny, nz);
+    std::vector<double> cur = random_field(size, rng);
+    std::vector<double> ref = cur;
+    std::vector<double> next = random_field(size, rng);
+    std::vector<double> ref_next = next;
+    for (int sweep = 0; sweep < 4; ++sweep) {
+      kern::compute(nx, ny, nz, cur, next);
+      scalar_compute(nx, ny, nz, ref, ref_next);
+      ASSERT_EQ(std::memcmp(next.data(), ref_next.data(),
+                            size * sizeof(double)),
+                0)
+          << "nz=" << nz << " sweep=" << sweep;
+      cur.swap(next);
+      ref.swap(ref_next);
+      // Fresh random ghosts, as a halo exchange would inject.
+      for (int face = 0; face < 6; ++face) {
+        const auto ghost = random_field(
+            static_cast<std::size_t>(kern::face_cells(nx, ny, nz, face)), rng);
+        kern::inject_face(nx, ny, nz, cur, face, ghost);
+        kern::inject_face(nx, ny, nz, ref, face, ghost);
+      }
+    }
+  }
+}
+
+TEST(StencilKernel, FaceRoundtrip) {
+  const int nx = 4, ny = 5, nz = 6;
+  const auto at = [&](int i, int j, int k) {
+    return (static_cast<std::size_t>(i) * (ny + 2) +
+            static_cast<std::size_t>(j)) *
+               (nz + 2) +
+           static_cast<std::size_t>(k);
+  };
+  // Every cell (ghosts included) holds its own linear index.
+  std::vector<double> field(kern::field_size(nx, ny, nz));
+  for (std::size_t n = 0; n < field.size(); ++n) {
+    field[n] = static_cast<double>(n);
+  }
+  // Face f's cells in packing order, on layer `interior` (extract) or on
+  // the ghost layer outside it (inject).
+  const auto face_order = [&](int face, bool ghost) {
+    const bool low = face % 2 == 0;
+    const auto layer = [&](int n) {
+      return low ? (ghost ? 0 : 1) : (ghost ? n + 1 : n);
+    };
+    std::vector<std::size_t> cells;
+    for (int a = 1; a <= (face / 2 == 0 ? ny : nx); ++a) {
+      for (int b = 1; b <= (face / 2 == 2 ? ny : nz); ++b) {
+        switch (face / 2) {
+          case 0: cells.push_back(at(layer(nx), a, b)); break;
+          case 1: cells.push_back(at(a, layer(ny), b)); break;
+          default: cells.push_back(at(a, b, layer(nz))); break;
+        }
+      }
+    }
+    return cells;
+  };
+  for (int face = 0; face < 6; ++face) {
+    const auto data = kern::extract_face(nx, ny, nz, field, face);
+    ASSERT_EQ(static_cast<std::int64_t>(data.size()),
+              kern::face_cells(nx, ny, nz, face));
+    const auto src = face_order(face, false);
+    ASSERT_EQ(src.size(), data.size());
+    for (std::size_t n = 0; n < data.size(); ++n) {
+      EXPECT_EQ(data[n], field[src[n]]) << "face " << face << " value " << n;
+    }
+
+    std::vector<double> ghost(data.size());
+    for (std::size_t n = 0; n < ghost.size(); ++n) {
+      ghost[n] = -1.0 - static_cast<double>(n);
+    }
+    std::vector<double> target = field;
+    kern::inject_face(nx, ny, nz, target, face, ghost);
+    std::vector<double> want = field;
+    const auto dst = face_order(face, true);
+    for (std::size_t n = 0; n < dst.size(); ++n) want[dst[n]] = ghost[n];
+    EXPECT_EQ(target, want) << "face " << face;
+  }
+}
+
+TEST(StencilKernel, ShortOrLongGhostFaceIsRejected) {
+  const int nx = 3, ny = 4, nz = 5;
+  std::vector<double> field(kern::field_size(nx, ny, nz), 2.5);
+  const std::vector<double> before = field;
+  for (int face = 0; face < 6; ++face) {
+    const auto cells =
+        static_cast<std::size_t>(kern::face_cells(nx, ny, nz, face));
+    const std::vector<double> short_face(cells - 1, 9.0);
+    const std::vector<double> long_face(cells + 1, 9.0);
+    EXPECT_THROW(kern::inject_face(nx, ny, nz, field, face, short_face),
+                 std::invalid_argument);
+    EXPECT_THROW(kern::inject_face(nx, ny, nz, field, face, long_face),
+                 std::invalid_argument);
+    EXPECT_THROW(kern::inject_face(nx, ny, nz, field, face, {}),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(field, before);  // a rejected face writes nothing
+
+  Block b(Geometry{1, 1, 1, nx, ny, nz}, 0, 0, 0);
+  EXPECT_THROW(b.inject_face(4, std::vector<double>(3, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(b.inject_face(6, std::vector<double>(12, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW((void)b.extract_face(-1), std::invalid_argument);
+
+  // Fields of the wrong shape are rejected too, before any access.
+  std::vector<double> small(field.size() - 1);
+  std::vector<double> next(field.size());
+  EXPECT_THROW(kern::compute(nx, ny, nz, small, next), std::invalid_argument);
+  EXPECT_THROW(kern::compute(nx, ny, nz, next, small), std::invalid_argument);
+  EXPECT_THROW(kern::compute(nx, ny, nz, next, next), std::invalid_argument);
+  EXPECT_THROW((void)kern::extract_face(nx, ny, nz, small, 0),
+               std::invalid_argument);
 }
 
 TEST(StencilCx, MatchesSerialReference) {

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "test_helpers.hpp"
+
 namespace {
 
 using namespace cx;
@@ -34,7 +36,7 @@ TEST(Collection, DenseSize) {
 
 TEST(Collection, BlockMapIsContiguousAndBalanced) {
   auto info = array_info(Index(16), "block");
-  const auto& map = lookup_map("block");
+  const MapFn map = resolve_map(info);
   int prev = 0;
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 16; ++i) {
@@ -50,7 +52,7 @@ TEST(Collection, BlockMapIsContiguousAndBalanced) {
 
 TEST(Collection, BlockMapCoversAllPEsWhenMoreElementsThanPEs) {
   auto info = array_info(Index(7), "block");
-  const auto& map = lookup_map("block");
+  const MapFn map = resolve_map(info);
   std::set<int> pes;
   for (int i = 0; i < 7; ++i) pes.insert(map(Index(i), info, 3));
   EXPECT_EQ(pes.size(), 3u);
@@ -58,7 +60,7 @@ TEST(Collection, BlockMapCoversAllPEsWhenMoreElementsThanPEs) {
 
 TEST(Collection, RrMapRoundRobins) {
   auto info = array_info(Index(8), "rr");
-  const auto& map = lookup_map("rr");
+  const MapFn map = resolve_map(info);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(map(Index(i), info, 3), i % 3);
   }
@@ -66,7 +68,7 @@ TEST(Collection, RrMapRoundRobins) {
 
 TEST(Collection, HashMapInRange) {
   auto info = array_info(Index(100), "hash");
-  const auto& map = lookup_map("hash");
+  const MapFn map = resolve_map(info);
   for (int i = 0; i < 100; ++i) {
     const int pe = map(Index(i), info, 7);
     EXPECT_GE(pe, 0);
@@ -79,14 +81,14 @@ TEST(Collection, CustomMapRegistration) {
                [](const Index& idx, const CollectionInfo&, int num_pes) {
                  return idx[0] % 2 == 0 ? 0 : 1 % num_pes;
                });
-  const auto& map = lookup_map("evens_to_zero");
   auto info = array_info(Index(4), "evens_to_zero");
+  const MapFn map = resolve_map(info);
   EXPECT_EQ(map(Index(0), info, 2), 0);
   EXPECT_EQ(map(Index(1), info, 2), 1);
 }
 
 TEST(Collection, UnknownMapThrows) {
-  EXPECT_THROW(lookup_map("nope"), std::out_of_range);
+  EXPECT_THROW(resolve_map(array_info(Index(4), "nope")), std::out_of_range);
 }
 
 TEST(Collection, HomePeForKinds) {
@@ -102,6 +104,49 @@ TEST(Collection, HomePeForKinds) {
   auto a = array_info(Index(8), "block");
   EXPECT_EQ(home_pe(a, Index(0), 4), 0);
   EXPECT_EQ(home_pe(a, Index(7), 4), 3);
+}
+
+struct Placed : Chare {
+  int where() { return cx::my_pe(); }
+};
+
+// The runtime resolves a collection's map once, when the creation
+// broadcast installs it; custom maps must still place every element and
+// route every send to it.
+TEST(Collection, CustomMapPlacesArrayElementsAndRoutesSends) {
+  register_map("stride3",
+               [](const Index& idx, const CollectionInfo&, int num_pes) {
+                 return (idx[0] * 3 + 1) % num_pes;
+               });
+  cxtest::run_program(cxtest::threaded_cfg(4), [] {
+    auto arr = create_array_opts<Placed>(Index(10), ArrayOptions{"stride3"});
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(arr[i].call<&Placed::where>().get(), (i * 3 + 1) % 4);
+    }
+    cx::exit();
+  });
+}
+
+TEST(Collection, ReRegisteredMapKeepsExistingPlacement) {
+  register_map("movable",
+               [](const Index& idx, const CollectionInfo&, int num_pes) {
+                 return idx[0] % num_pes;
+               });
+  cxtest::run_program(cxtest::threaded_cfg(3), [] {
+    auto before = create_array_opts<Placed>(Index(6), ArrayOptions{"movable"});
+    // Wait until every element exists under the first map.
+    for (int i = 0; i < 6; ++i) (void)before[i].call<&Placed::where>().get();
+    register_map("movable",
+                 [](const Index& idx, const CollectionInfo&, int num_pes) {
+                   return (idx[0] + 1) % num_pes;
+                 });
+    auto after = create_array_opts<Placed>(Index(6), ArrayOptions{"movable"});
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(before[i].call<&Placed::where>().get(), i % 3);
+      EXPECT_EQ(after[i].call<&Placed::where>().get(), (i + 1) % 3);
+    }
+    cx::exit();
+  });
 }
 
 }  // namespace

@@ -97,4 +97,24 @@ TEST(Sparse, MessagesToNotYetInsertedElementsAreBuffered) {
   });
 }
 
+TEST(Sparse, CustomMapPlacesInsertedElements) {
+  register_map("sparse_reverse",
+               [](const Index& idx, const CollectionInfo&, int num_pes) {
+                 return num_pes - 1 - idx[0] % num_pes;
+               });
+  run_program(threaded_cfg(4), [] {
+    auto arr = create_sparse<SparseCell>(1, "sparse_reverse");
+    // Sent before the insert: buffered at the map's home PE.
+    auto early = arr[13].call<&SparseCell::get>();
+    for (int i = 0; i < 14; ++i) arr.insert(Index(i), i * 2);
+    arr.done_inserting().get();
+    EXPECT_EQ(early.get(), 26);
+    for (int i = 0; i < 14; ++i) {
+      EXPECT_EQ(arr[i].call<&SparseCell::where>().get(), 3 - i % 4);
+      EXPECT_EQ(arr[i].call<&SparseCell::get>().get(), i * 2);
+    }
+    cx::exit();
+  });
+}
+
 }  // namespace
