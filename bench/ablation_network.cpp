@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int pes = static_cast<int>(opt.get_int("pes", 4096));
   const int iters = static_cast<int>(opt.get_int("iters", 10));
-  const double overhead = bench::measure_dispatch_overhead();
+  const bench::DispatchCalibration cal = bench::measure_dispatch_overhead();
+  const double overhead = cal.median_s;
 
   stencil::Params p;
   bench::near_cubic(pes, p.geo.bx, p.geo.by, p.geo.bz);
@@ -42,7 +43,8 @@ int main(int argc, char** argv) {
 
   std::printf("ablation_network: fig1 point at %d PEs under different\n",
               pes);
-  std::printf("                  network models (%d iterations)\n\n", iters);
+  std::printf("                  network models (%d iterations)\n", iters);
+  std::printf("                  %s\n\n", cal.describe().c_str());
   cxu::Table table({"network", "cx ms", "mpi ms", "cpy ms", "cpy/cx",
                     "mpi/cx"});
   for (const auto& c : cases) {

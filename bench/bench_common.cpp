@@ -1,6 +1,12 @@
 #include "bench_common.hpp"
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/charm.hpp"
+#include "util/stats.hpp"
 
 namespace bench {
 
@@ -36,10 +42,15 @@ void register_dyn_echo() {
 
 }  // namespace
 
-double measure_dispatch_overhead() {
+DispatchCalibration measure_dispatch_overhead() {
   register_dyn_echo();
-  constexpr int kMessages = 20000;
-  double typed_s = 0.0, dyn_s = 0.0;
+  // Rounds alternate which side goes first so slow drift in host speed
+  // (frequency, neighbours) falls on both sides equally; the median of
+  // the per-round differences ignores the odd preempted burst.
+  constexpr int kRounds = 9;
+  constexpr int kMessages = 5000;
+  std::vector<double> per_msg;
+  per_msg.reserve(kRounds);
 
   cx::RuntimeConfig cfg;
   cfg.machine.num_pes = 1;
@@ -47,28 +58,67 @@ double measure_dispatch_overhead() {
   cx::Runtime rt(cfg);
   rt.run([&] {
     auto typed = cx::create_chare<TypedEcho>(0);
-    (void)typed.call<&TypedEcho::get>().get();  // ensure created
-    cxu::Stopwatch sw;
-    for (int i = 0; i < kMessages; ++i) {
-      typed.send<&TypedEcho::hit>(1, 0.5);
-    }
-    while (typed.call<&TypedEcho::get>().get() < kMessages) {
-    }
-    typed_s = sw.elapsed();
-
     auto dyn = cpy::create_chare("bench.Echo", 0);
+    (void)typed.call<&TypedEcho::get>().get();  // ensure created
     (void)dyn.call("get").get();
-    sw.reset();
-    for (int i = 0; i < kMessages; ++i) {
-      dyn.send("hit", {cpy::Value(1), cpy::Value(0.5)});
+    long sent = 0;
+    const auto typed_burst = [&] {
+      cxu::Stopwatch sw;
+      for (int i = 0; i < kMessages; ++i) {
+        typed.send<&TypedEcho::hit>(1, 0.5);
+      }
+      while (typed.call<&TypedEcho::get>().get() < sent + kMessages) {
+      }
+      return sw.elapsed();
+    };
+    const auto dyn_burst = [&] {
+      cxu::Stopwatch sw;
+      for (int i = 0; i < kMessages; ++i) {
+        dyn.send("hit", {cpy::Value(1), cpy::Value(0.5)});
+      }
+      while (dyn.call("get").get().as_int() < sent + kMessages) {
+      }
+      return sw.elapsed();
+    };
+    (void)typed_burst();  // warm both paths (pools, caches) once
+    (void)dyn_burst();
+    sent += kMessages;
+    for (int r = 0; r < kRounds; ++r) {
+      double typed_s = 0.0;
+      double dyn_s = 0.0;
+      if (r % 2 == 0) {
+        typed_s = typed_burst();
+        dyn_s = dyn_burst();
+      } else {
+        dyn_s = dyn_burst();
+        typed_s = typed_burst();
+      }
+      sent += kMessages;
+      per_msg.push_back((dyn_s - typed_s) / kMessages);
     }
-    while (dyn.call("get").get().as_int() < kMessages) {
-    }
-    dyn_s = sw.elapsed();
     cx::exit();
   });
-  const double per_msg = (dyn_s - typed_s) / kMessages;
-  return per_msg > 0 ? per_msg : 0.0;
+  DispatchCalibration cal;
+  cal.rounds = kRounds;
+  cal.median_s = cxu::percentile(per_msg, 50.0);
+  cal.iqr_s = cxu::percentile(per_msg, 75.0) - cxu::percentile(per_msg, 25.0);
+  if (!(cal.median_s > 0.0)) {
+    throw std::runtime_error(
+        "dispatch calibration: non-positive median overhead (" +
+        std::to_string(cal.median_s * 1e6) +
+        " us/message over " + std::to_string(kRounds) +
+        " rounds); the host is too noisy to calibrate on");
+  }
+  return cal;
+}
+
+std::string DispatchCalibration::describe() const {
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "dispatch calibration: %.2f us/message (IQR %.2f us over "
+                "%d rounds)",
+                median_s * 1e6, iqr_s * 1e6, rounds);
+  return buf;
 }
 
 }  // namespace bench

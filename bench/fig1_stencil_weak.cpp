@@ -28,12 +28,12 @@ int main(int argc, char** argv) {
     cores.push_back(65536);
   }
 
-  const double overhead = bench::measure_dispatch_overhead();
+  const bench::DispatchCalibration cal = bench::measure_dispatch_overhead();
+  const double overhead = cal.median_s;
   std::printf("fig1: stencil3d weak scaling (torus, 32 PEs/node)\n");
   std::printf("      one %d^3 block per PE, %d iterations, modeled kernel\n",
               block, iters);
-  std::printf("      measured dynamic-dispatch overhead: %.2f us/message\n\n",
-              overhead * 1e6);
+  std::printf("      %s\n\n", cal.describe().c_str());
 
   cxu::Table table({"cores", "charm++ (cx) ms", "mpi ms", "charmpy (cpy) ms",
                     "cpy/cx"});

@@ -19,11 +19,12 @@ int main(int argc, char** argv) {
   // is compute-dominated (1.6 s/step at 8 cores).
   const double cell_cost = opt.get_double("cell_cost", 4.0e-9);
 
-  const double overhead = bench::measure_dispatch_overhead();
+  const bench::DispatchCalibration cal = bench::measure_dispatch_overhead();
+  const double overhead = cal.median_s;
   std::printf("fig2: stencil3d strong scaling (dragonfly, %d^3 grid)\n",
               grid);
-  std::printf("      %d iterations, modeled kernel, dyn overhead %.2f us\n\n",
-              iters, overhead * 1e6);
+  std::printf("      %d iterations, modeled kernel\n", iters);
+  std::printf("      %s\n\n", cal.describe().c_str());
 
   cxu::Table table({"cores", "charm++ (cx) ms", "mpi ms",
                     "charmpy (cpy) ms", "speedup vs 8 (cx)"});

@@ -25,11 +25,13 @@ int main(int argc, char** argv) {
   // 1 = literal per-iteration rotation (smaller gains; see EXPERIMENTS.md).
   const int drift = static_cast<int>(opt.get_int("drift", 30));
 
-  const double overhead = bench::measure_dispatch_overhead();
+  const bench::DispatchCalibration cal = bench::measure_dispatch_overhead();
+  const double overhead = cal.median_s;
   std::printf("fig3: stencil3d with synthetic imbalance (alpha model of\n");
   std::printf("      paper SecV-B), 4 chares/PE, greedy LB every %d iters,\n",
               lb_period);
-  std::printf("      %d iterations, %d^3 grid\n\n", iters, grid);
+  std::printf("      %d iterations, %d^3 grid\n", iters, grid);
+  std::printf("      %s\n\n", cal.describe().c_str());
 
   cxu::Table table({"cores", "cx-nolb ms", "cpy-nolb ms", "mpi ms",
                     "cx-lb ms", "cpy-lb ms", "lb speedup (cx)"});

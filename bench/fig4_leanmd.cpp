@@ -23,15 +23,15 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(opt.get_int("steps", 3));
   const int ppc = static_cast<int>(opt.get_int("ppc", 250));
 
-  const double overhead = bench::measure_dispatch_overhead();
+  const bench::DispatchCalibration cal = bench::measure_dispatch_overhead();
+  const double overhead = cal.median_s;
   const long long nchares = 15LL * cells * cells * cells;
   std::printf("fig4: LeanMD strong scaling (torus), %d^3 cells, %d\n",
               cells, ppc);
   std::printf("      atoms/cell (%lld atoms, %lld chares), %d steps,\n",
               static_cast<long long>(ppc) * cells * cells * cells, nchares,
               steps);
-  std::printf("      modeled kernel, dyn overhead %.2f us/message\n\n",
-              overhead * 1e6);
+  std::printf("      modeled kernel, %s\n\n", cal.describe().c_str());
 
   cxu::Table table({"cores", "chares/PE", "charm++ (cx) ms/step",
                     "charmpy (cpy) ms/step", "cpy/cx"});

@@ -2,7 +2,9 @@
 // reductions (paper §II-F), futures and callbacks, and the sparse-array
 // size-establishment protocol (paper §II-G).
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,15 +17,26 @@ namespace cx {
 
 void Runtime::Impl::fulfill_future(FutureId fid,
                                    std::vector<std::byte>&& bytes) {
-  auto& slot = me().futures[fid];
-  slot.value = std::move(bytes);
-  Fiber* f = slot.waiter;
-  slot.waiter = nullptr;
+  auto& ps = me();
+  Fiber* f = nullptr;
+  const auto it = ps.futures.find(fid);
+  if (it != ps.futures.end()) {
+    detail::FutureState& st = *it->second;
+    st.value = std::move(bytes);
+    f = st.waiter;
+    st.waiter = nullptr;
+  } else {
+    // No local handle holds this future any more (a discarded call<>()
+    // reply, an injected duplicate, a value after its timed-out future
+    // died): nobody can read it, so drop it instead of keeping a slot.
+    cx::trace::note_future_late_drop();
+  }
   // Send the wake envelope even when no fiber is suspended right now
   // (f == nullptr makes the delivery a no-op): whether the consumer
-  // happened to be between two timed waits when the value landed must
-  // not change the counted-message ledger — the quiescence counters are
-  // checkpointed, and the chaos tier compares them across runs.
+  // happened to be between two timed waits when the value landed — or
+  // had already let the future go — must not change the counted-message
+  // ledger: the quiescence counters are checkpointed, and the chaos tier
+  // compares them across runs.
   send_resume(f);
 }
 
@@ -299,53 +312,94 @@ void contribute_bytes(Chare& chare, std::vector<std::byte> value,
       wire::make_msg(I.h_reduce, static_cast<int>(h.coll) % I.P, h, value));
 }
 
-ReplyTo make_future_slot() {
+namespace {
+
+using StatePtr = std::shared_ptr<FutureState>;
+
+/// The state a read through `slot` works on: the handle's own share, or
+/// — for a handle unpacked from bytes — the live state its id names on
+/// the creating PE. Reads never create a table entry.
+StatePtr reader_state(const ReplyTo& slot, const StatePtr& own,
+                      const char* op) {
   auto& I = Runtime::current().impl();
-  auto& ps = I.me();
-  ReplyTo r;
-  r.pe = I.mype();
-  // Skip ids still occupied: after a restore rolls next_future back, a
-  // slot with a suspended waiter may sit above the counter.
-  do {
-    r.fid = ++ps.next_future;
-  } while (ps.futures.count(r.fid) != 0);
-  return r;
+  if (slot.pe != I.mype()) {
+    throw std::logic_error(std::string(op) + " must run on the creating PE");
+  }
+  if (own) return own;
+  const auto it = I.me().futures.find(slot.fid);
+  if (it == I.me().futures.end()) {
+    throw std::logic_error(std::string(op) +
+                           ": no handle on the creating PE holds this "
+                           "future's value any more");
+  }
+  return it->second->shared_from_this();
 }
 
-std::vector<std::byte> future_get_bytes(const ReplyTo& f) {
-  auto& I = Runtime::current().impl();
-  if (f.pe != I.mype()) {
-    throw std::logic_error("Future::get() must run on the creating PE");
+Fiber* current_fiber(const char* op) {
+  Fiber* cur = Fiber::current();
+  if (cur == nullptr) {
+    throw std::logic_error(std::string(op) +
+                           " requires a threaded entry method");
   }
-  for (;;) {
-    auto& slot = I.me().futures[f.fid];
-    if (slot.value.has_value()) return *slot.value;
-    Fiber* cur = Fiber::current();
-    if (cur == nullptr) {
+  return cur;
+}
+
+/// Suspend the current fiber until `st` holds a value.
+void wait_value(FutureState& st) {
+  while (!st.value.has_value()) {
+    Fiber* cur = current_fiber("Future::get()");
+    if (st.table == nullptr) {
+      // Unlinked and empty: no value can reach it any more.
       throw std::logic_error(
-          "Future::get() requires a threaded entry method");
+          "Future::get(): the future was discarded by a restore");
     }
-    slot.waiter = cur;
+    st.waiter = cur;
     Fiber::yield();
   }
 }
 
-std::optional<std::vector<std::byte>> future_get_bytes_for(const ReplyTo& f,
-                                                           double timeout_s) {
+}  // namespace
+
+FutureHandle make_future_handle() {
   auto& I = Runtime::current().impl();
-  if (f.pe != I.mype()) {
-    throw std::logic_error("Future::get_for() must run on the creating PE");
-  }
-  {
-    auto& slot = I.me().futures[f.fid];
-    if (slot.value.has_value()) return *slot.value;
-  }
-  Fiber* cur = Fiber::current();
-  if (cur == nullptr) {
-    throw std::logic_error(
-        "Future::get_for() requires a threaded entry method");
-  }
+  auto& ps = I.me();
+  ReplyTo r;
+  r.pe = I.mype();
+  // Skip ids still held: after a restore rolls next_future back, a
+  // future with a suspended reader may sit above the counter.
+  do {
+    r.fid = ++ps.next_future;
+  } while (ps.futures.count(r.fid) != 0);
+  auto st = std::make_shared<FutureState>();
+  st->fid = r.fid;
+  st->table = &ps.futures;
+  ps.futures.emplace(r.fid, st.get());
+  return FutureHandle(r, std::move(st));
+}
+
+std::vector<std::byte> FutureHandle::get() const& {
+  const StatePtr st = reader_state(slot_, state_, "Future::get()");
+  wait_value(*st);
+  return *st->value;
+}
+
+std::vector<std::byte> FutureHandle::get() && {
+  const StatePtr st = reader_state(slot_, state_, "Future::get()");
+  wait_value(*st);
+  state_.reset();
+  // Sole owner left: nobody can read the value again, so take it; the
+  // state (and its table entry) dies with `st` on return.
+  if (st.use_count() == 1) return std::move(*st->value);
+  return *st->value;
+}
+
+std::optional<std::vector<std::byte>> FutureHandle::get_for(
+    double timeout_s) const {
+  const StatePtr st = reader_state(slot_, state_, "Future::get_for()");
+  if (st->value.has_value()) return *st->value;
+  Fiber* cur = current_fiber("Future::get_for()");
   // Arm a deadline: an uncounted self-timer delivered via send_after.
+  auto& I = Runtime::current().impl();
   auto& ps = I.me();
   const std::uint64_t token = ++ps.next_timer_token;
   ps.timer_waiters[token] = cur;
@@ -356,44 +410,39 @@ std::optional<std::vector<std::byte>> future_get_bytes_for(const ReplyTo& f,
     I.machine->send_after(I.wrap_local(env, I.mype()), timeout_s);
   }
   for (;;) {
-    {
-      // Re-acquire the slot each pass: the map may rehash while we
-      // are suspended (same discipline as future_get_bytes).
-      auto& slot = I.me().futures[f.fid];
-      if (slot.value.has_value()) {
-        // Disarm: the timer event may still fire, but its token lookup
-        // will miss and the delivery no-ops.
-        I.me().timer_waiters.erase(token);
-        return *slot.value;
-      }
-      slot.waiter = cur;
+    if (st->value.has_value()) {
+      // Disarm: the timer event may still fire, but its token lookup
+      // will miss and the delivery no-ops.
+      ps.timer_waiters.erase(token);
+      return *st->value;
     }
+    st->waiter = cur;
     Fiber::yield();
-    if (I.me().timer_waiters.count(token) == 0) {
+    if (ps.timer_waiters.count(token) == 0) {
       // The deadline fired (it erased its own token before resuming us).
-      auto& slot = I.me().futures[f.fid];
-      if (slot.value.has_value()) return *slot.value;  // lost race: value won
-      // Timed out: drop the empty slot entirely. A later fulfill
-      // recreates it value-first (so a retried get_for still sees it),
-      // and a waiter slot left behind would outlive a restore's
-      // next_future rollback and make post-rollback make_future_slot
-      // skip an id a fault-free run hands out — fids are pupped inside
-      // callbacks, so that skew shows up in checkpoint digests.
-      I.me().futures.erase(f.fid);
+      if (st->value.has_value()) return *st->value;  // lost race: value won
+      st->waiter = nullptr;
+      // Timed out: the future stays valid for a late value — unless a
+      // restore rolled next_future back below its id. Then give the id
+      // up, as a never-diverged run does not hold it: fids are pupped
+      // inside callbacks, so a post-rollback make_future_handle that
+      // skipped it would skew checkpoint digests.
+      if (st->fid > ps.next_future) st->unlink();
       return std::nullopt;
     }
   }
 }
 
-bool future_ready(const ReplyTo& f) {
+bool FutureHandle::ready() const {
   auto& I = Runtime::current().impl();
-  if (f.pe != I.mype()) return false;
-  const auto it = I.me().futures.find(f.fid);
-  return it != I.me().futures.end() && it->second.value.has_value();
+  if (slot_.pe != I.mype()) return false;
+  if (state_) return state_->value.has_value();
+  const auto it = I.me().futures.find(slot_.fid);
+  return it != I.me().futures.end() && it->second->value.has_value();
 }
 
-void future_send_bytes(const ReplyTo& f, std::vector<std::byte>&& bytes) {
-  Runtime::current().impl().send_future_bytes(f, std::move(bytes));
+void FutureHandle::send(std::vector<std::byte>&& bytes) const {
+  Runtime::current().impl().send_future_bytes(slot_, std::move(bytes));
 }
 
 }  // namespace detail

@@ -524,15 +524,13 @@ void Runtime::Impl::on_restore(MessagePtr msg) {
     // Same for the future-id counter: element state PUPs callbacks,
     // which embed future ids, so a restored run must re-issue the ids a
     // never-diverged run would (the digest tests compare them). Stale
-    // post-checkpoint slots are dropped; a slot with a suspended waiter
-    // (the restore ack the driver itself blocks on) survives, and
-    // make_future_slot skips over any survivor when reallocating.
+    // post-checkpoint futures leave the table (their handles keep the
+    // state, but a value for the re-issued id no longer reaches them);
+    // one with a suspended reader survives, and make_future_handle
+    // skips over any survivor when reallocating.
     for (auto it = ps.futures.begin(); it != ps.futures.end();) {
-      if (it->first > blob.next_future && it->second.waiter == nullptr) {
-        it = ps.futures.erase(it);
-      } else {
-        ++it;
-      }
+      detail::FutureState* st = (it++)->second;
+      if (st->fid > blob.next_future && st->waiter == nullptr) st->unlink();
     }
     ps.next_future = blob.next_future;
   }

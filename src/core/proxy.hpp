@@ -65,11 +65,11 @@ class ElementProxy {
   /// Invoke M and obtain a Future for its return value (ret=True).
   template <auto M, typename... Us>
   [[nodiscard]] Future<detail::RetOf<M>> call(Us&&... us) const {
-    const ReplyTo slot = detail::make_future_slot();
+    detail::FutureHandle h = detail::make_future_handle();
     detail::proxy_send(coll_, idx_, ep_id<M>(),
                        detail::make_args<M, C>(std::forward<Us>(us)...),
-                       slot);
-    return Future<detail::RetOf<M>>(slot);
+                       h.slot());
+    return Future<detail::RetOf<M>>(std::move(h));
   }
 
   /// Callback that invokes M on this element (reduction targets).
@@ -121,11 +121,11 @@ class SectionProxy {
   /// once every member has executed it.
   template <auto M, typename... Us>
   [[nodiscard]] Future<void> broadcast_done(Us&&... us) const {
-    const ReplyTo slot = detail::make_future_slot();
+    detail::FutureHandle h = detail::make_future_handle();
     detail::section_broadcast(sect_, coll_, root_, ep_id<M>(),
                               detail::make_args<M, C>(std::forward<Us>(us)...),
-                              slot);
-    return Future<void>(slot);
+                              h.slot());
+    return Future<void>(std::move(h));
   }
 
   /// The section id (distinct namespace from collection ids).
@@ -184,11 +184,11 @@ class CollectionProxy {
   /// every member has executed it (paper §II-D: futures on broadcasts).
   template <auto M, typename... Us>
   [[nodiscard]] Future<void> broadcast_done(Us&&... us) const {
-    const ReplyTo slot = detail::make_future_slot();
+    detail::FutureHandle h = detail::make_future_handle();
     detail::proxy_broadcast(coll_, ep_id<M>(),
                             detail::make_args<M, C>(std::forward<Us>(us)...),
-                            slot);
-    return Future<void>(slot);
+                            h.slot());
+    return Future<void>(std::move(h));
   }
 
   /// Callback that broadcasts M to the collection (reduction targets).
@@ -227,9 +227,9 @@ class CollectionProxy {
   /// future completes once every in-flight insert has landed and every
   /// PE knows the final size; broadcast/reduce only after that.
   Future<void> done_inserting() const {
-    const ReplyTo slot = detail::make_future_slot();
-    detail::sparse_done_inserting(coll_, slot);
-    return Future<void>(slot);
+    detail::FutureHandle h = detail::make_future_handle();
+    detail::sparse_done_inserting(coll_, h.slot());
+    return Future<void>(std::move(h));
   }
 
   [[nodiscard]] CollectionId id() const noexcept { return coll_; }

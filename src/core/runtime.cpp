@@ -169,6 +169,10 @@ std::uint64_t Runtime::messages_sent() const {
   return total;
 }
 
+std::size_t Runtime::future_table_size() const {
+  return impl_->me().futures.size();
+}
+
 Runtime& Runtime::current() {
   if (g_runtime == nullptr) {
     throw std::logic_error("no cx::Runtime is active");

@@ -17,6 +17,7 @@
 // Exactly one Runtime may exist at a time (it installs itself as the
 // process-current runtime, like the `charm` object of the paper).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -80,6 +81,10 @@ class Runtime {
 
   /// Total application messages sent so far (all PEs).
   [[nodiscard]] std::uint64_t messages_sent() const;
+
+  /// Futures the calling PE's table tracks: pending, or still held by a
+  /// Future handle on this PE (tests and soak probes).
+  [[nodiscard]] std::size_t future_table_size() const;
 
   static Runtime& current();
   static bool has_current() noexcept;

@@ -29,6 +29,7 @@
 
 #include "core/chare.hpp"
 #include "core/collection.hpp"
+#include "core/future.hpp"
 #include "core/lb.hpp"
 #include "core/registry.hpp"
 #include "core/runtime.hpp"
@@ -204,10 +205,33 @@ struct SectMeta {
   std::vector<Index> away;     ///< home members migrated off this PE
 };
 
-struct FutureSlot {
+/// PeState's future table: a routing index from future id to the state
+/// the creating PE's Future handles share (future.hpp). Only pending or
+/// still-held futures have an entry.
+using FutureTable = std::unordered_map<FutureId, detail::FutureState*>;
+
+namespace detail {
+/// One future's value and suspended reader, owned by the Future handles
+/// on its creating PE. The last handle's release erases the table entry;
+/// an unlinked state (`table` null: given up by a restore, or outliving
+/// its PeState) is reachable from its handles only.
+struct FutureState : std::enable_shared_from_this<FutureState> {
   std::optional<std::vector<std::byte>> value;
   Fiber* waiter = nullptr;
+  FutureId fid = 0;
+  FutureTable* table = nullptr;
+
+  FutureState() = default;
+  FutureState(const FutureState&) = delete;
+  FutureState& operator=(const FutureState&) = delete;
+  ~FutureState() { unlink(); }
+  /// Leave the table: values for this id no longer reach this state.
+  void unlink() {
+    if (table != nullptr) table->erase(fid);
+    table = nullptr;
+  }
 };
+}  // namespace detail
 
 struct FiberRec {
   std::unique_ptr<Fiber> fiber;
@@ -218,7 +242,7 @@ struct PeState {
   std::unordered_map<CollectionId, CollMeta> colls;
   /// Messages for collections whose creation hasn't reached this PE yet.
   std::unordered_map<CollectionId, std::vector<MessagePtr>> stash;
-  std::unordered_map<FutureId, FutureSlot> futures;
+  FutureTable futures;
   FutureId next_future = 0;
   std::unordered_map<Fiber*, FiberRec> fibers;
   /// Reductions rooted on this PE, keyed (collection, red_no).
@@ -253,6 +277,15 @@ struct PeState {
   /// whose token is gone (value arrived first) is a no-op on delivery.
   std::unordered_map<std::uint64_t, Fiber*> timer_waiters;
   std::uint64_t next_timer_token = 0;
+
+  PeState() = default;
+  PeState(const PeState&) = delete;
+  PeState& operator=(const PeState&) = delete;
+  /// Futures held by chares, queued tuples or leaked fiber stacks may
+  /// outlive this table: detach them before any member is destroyed.
+  ~PeState() {
+    for (auto& [fid, st] : futures) st->table = nullptr;
+  }
 };
 
 // ---------------------------------------------------------------------------

@@ -59,8 +59,6 @@ void sparse_insert(CollectionId coll, const Index& idx, FactoryId ctor,
 /// fulfills `reply`.
 void sparse_done_inserting(CollectionId coll, const ReplyTo& reply);
 
-ReplyTo make_future_slot();
-
 /// Contribute packed data to the current reduction of `chare`'s
 /// collection (paper §II-F).
 void contribute_bytes(Chare& chare, std::vector<std::byte> value,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/options.hpp"
 
@@ -20,10 +21,7 @@ const char* failure_kind_name(FailureKind k) noexcept {
 }
 
 std::vector<ScriptedFault> FaultConfig::full_script() const {
-  std::vector<ScriptedFault> out;
-  if (crash_pe >= 0) out.push_back({crash_pe, crash_at, FailureKind::Crashed});
-  if (hang_pe >= 0) out.push_back({hang_pe, hang_at, FailureKind::Hung});
-  out.insert(out.end(), script.begin(), script.end());
+  std::vector<ScriptedFault> out = script;
   std::stable_sort(out.begin(), out.end(),
                    [](const ScriptedFault& a, const ScriptedFault& b) {
                      return a.at < b.at;
@@ -93,10 +91,18 @@ FaultConfig fault_config_from_options(const cxu::Options& opt) {
                                     cfg.hb_threshold);
   cfg.auto_recover = opt.get_bool("ft-auto-recover", cfg.auto_recover);
   cfg.settle_s = opt.get_double("ft-settle-ms", cfg.settle_s * 1e3) * 1e-3;
-  cfg.crash_pe = static_cast<int>(opt.get_int("ft-crash-pe", cfg.crash_pe));
-  cfg.crash_at = opt.get_double("ft-crash-at", cfg.crash_at);
-  cfg.hang_pe = static_cast<int>(opt.get_int("ft-hang-pe", cfg.hang_pe));
-  cfg.hang_at = opt.get_double("ft-hang-at", cfg.hang_at);
+  // The single-event crash/hang flags are gone; --ft-script covers
+  // them. Refuse them loudly rather than run a fault-free job.
+  for (const char* kind : {"crash", "hang"}) {
+    for (const char* part : {"-pe", "-at"}) {
+      const std::string flag = std::string("ft-") + kind + part;
+      if (opt.has(flag)) {
+        throw std::invalid_argument(
+            "--" + flag + " was removed; use --ft-script " + kind +
+            ":<pe>@<time_s> (e.g. --ft-script " + kind + ":2@0.00005)");
+      }
+    }
+  }
   const std::string script = opt.get_string("ft-script", "");
   if (!script.empty()) cfg.script = parse_fault_script(script);
   return cfg;

@@ -128,10 +128,10 @@ class SimMachine final : public Machine {
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> hung_;
   std::vector<std::uint8_t> unreachable_;
-  /// Merged, time-sorted fault script (legacy --ft-crash-pe/--ft-hang-pe
-  /// plus --ft-script). The cursor only moves forward: a fired event
-  /// never refires, so a revived PE is not instantly re-killed, yet
-  /// later script entries can hit the same PE again across revives.
+  /// Time-sorted fault script (--ft-script). The cursor only moves
+  /// forward: a fired event never refires, so a revived PE is not
+  /// instantly re-killed, yet later script entries can hit the same PE
+  /// again across revives.
   std::vector<cx::ft::ScriptedFault> script_;
   std::size_t next_script_ = 0;
   std::vector<std::uint8_t> failure_notified_;

@@ -187,7 +187,7 @@ cx::Future<void> DistArray::add_scaled(const DistArray& other,
   chunks_proxy_.broadcast(
       "axpy_request",
       {to_value(other.chunks_proxy_), Value(alpha), to_value(done)});
-  return cx::Future<void>(done.slot());
+  return cx::Future<void>(done.handle());
 }
 
 cx::Future<Value> DistArray::sum() const {

@@ -20,6 +20,7 @@ WireAtomics g_wire;
 WhenAtomics g_when;
 PoolAtomics g_pool;
 SectionAtomics g_section;
+std::atomic<std::uint64_t> g_future_late_drops{0};
 
 void PoolAtomics::note_task(std::uint64_t ns) noexcept {
   tasks_done.fetch_add(1, std::memory_order_relaxed);
@@ -527,6 +528,7 @@ void begin_run(int num_pes, bool simulated) {
   reset_when_stats();
   reset_pool_stats();
   reset_section_stats();
+  detail::g_future_late_drops.store(0, std::memory_order_relaxed);
   if (!s.cfg.enabled) return;
   // Rings are allocated eagerly, so clamp the per-PE capacity to keep the
   // total bounded when a simulated run uses thousands of virtual PEs
@@ -690,6 +692,10 @@ std::string summary_table() {
        << ss.red_fragments << " fragments), " << ss.tree_repairs
        << " tree repairs\n";
   }
+  if (future_late_drops() > 0) {
+    os << "\ncx::futures: " << future_late_drops()
+       << " late values dropped (no handle held the future)\n";
+  }
   const PoolStats ps = pool_stats();
   if (ps.tasks_done + ps.grants > 0) {
     os << "\ncx::pool: " << ps.tasks_done << " tasks in " << ps.grants
@@ -781,6 +787,7 @@ void write_json(std::ostream& os) {
      << ",\"contributions\":" << sect.contributions
      << ",\"red_fragments\":" << sect.red_fragments
      << ",\"reductions_done\":" << sect.reductions_done << "}";
+  os << ",\"futures\":{\"late_drops\":" << future_late_drops() << "}";
   const PoolStats pool = pool_stats();
   os << ",\"pool\":{\"grants\":" << pool.grants
      << ",\"granted_tasks\":" << pool.granted_tasks
@@ -843,6 +850,7 @@ void reset() {
   reset_when_stats();
   reset_pool_stats();
   reset_section_stats();
+  detail::g_future_late_drops.store(0, std::memory_order_relaxed);
   detail::g_enabled.store(false, std::memory_order_relaxed);
 }
 

@@ -450,6 +450,24 @@ extern SectionAtomics g_section;
 /// Zero the section counters (begin_run does this too).
 void reset_section_stats() noexcept;
 
+// ---- future counters ------------------------------------------------------
+//
+// A value that reaches its creating PE after every handle of the future
+// is gone (core/future.hpp) is dropped and counted here. Always on.
+
+namespace detail {
+extern std::atomic<std::uint64_t> g_future_late_drops;
+}
+
+inline void note_future_late_drop() noexcept {
+  detail::g_future_late_drops.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Future values dropped since the last begin_run()/reset().
+[[nodiscard]] inline std::uint64_t future_late_drops() noexcept {
+  return detail::g_future_late_drops.load(std::memory_order_relaxed);
+}
+
 struct Config {
   bool enabled = false;
   std::string out_path = "trace.json";

@@ -142,8 +142,8 @@ TEST(FtCheckpoint, StencilCrashRestartMatchesFaultFree) {
   const stencil::Result clean = stencil::run_cx(small_stencil(), machine);
   const std::uint64_t clean_digest = cx::ft::checkpoint_digest();
 
-  machine.faults.crash_pe = 2;
-  machine.faults.crash_at = 5.0e-5;  // virtual seconds: mid-run
+  // PE 2 crashes mid-run (virtual seconds).
+  machine.faults.script = {{2, 5.0e-5, cx::ft::FailureKind::Crashed}};
   cx::trace::reset();
   cx::trace::Config tc;
   tc.enabled = true;
@@ -154,7 +154,7 @@ TEST(FtCheckpoint, StencilCrashRestartMatchesFaultFree) {
   const auto counters = cx::trace::aggregate();
   cx::trace::reset();
 
-  // Guard against the crash silently not firing (crash_at past the
+  // Guard against the crash silently not firing (a crash time past the
   // makespan would make this test vacuous).
   EXPECT_GE(counters.ft_failures, 1u);
   EXPECT_DOUBLE_EQ(crashed.checksum, clean.checksum);

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ft/ft.hpp"
 #include "test_helpers.hpp"
 #include "trace/trace.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -172,8 +175,8 @@ TEST(FtFastPath, ReliableModeAcksCrossPeMessages) {
 
 TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
   cx::RuntimeConfig cfg = sim_cfg(4);
-  cfg.machine.faults.crash_pe = 3;
-  cfg.machine.faults.crash_at = 1.0e-4;  // virtual seconds
+  const double crash_at = 1.0e-4;  // virtual seconds
+  cfg.machine.faults.script = {{3, crash_at, cx::ft::FailureKind::Crashed}};
   run_program(cfg, [&] {
     std::vector<cx::ft::PeFailure> seen;
     cx::ft::on_failure(
@@ -191,15 +194,15 @@ TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0].pe, 3);
     EXPECT_EQ(seen[0].kind, cx::ft::FailureKind::Crashed);
-    EXPECT_GE(seen[0].time, cfg.machine.faults.crash_at);
+    EXPECT_GE(seen[0].time, crash_at);
     cx::exit();
   });
 }
 
 TEST(FtFailure, HungPeExhaustsRetriesAndIsReportedUnreachable) {
   cx::RuntimeConfig cfg = sim_cfg(2);
-  cfg.machine.faults.hang_pe = 1;
-  cfg.machine.faults.hang_at = 1.0e-6;  // stops draining almost at once
+  // PE 1 stops draining almost at once.
+  cfg.machine.faults.script = {{1, 1.0e-6, cx::ft::FailureKind::Hung}};
   cfg.machine.faults.reliable = true;
   cfg.machine.faults.retry.base_s = 1.0e-4;
   cfg.machine.faults.retry.max_attempts = 2;
@@ -221,6 +224,35 @@ TEST(FtFailure, HungPeExhaustsRetriesAndIsReportedUnreachable) {
     EXPECT_EQ(seen[0].kind, cx::ft::FailureKind::Unreachable);
     cx::exit();
   });
+}
+
+TEST(FtFailure, RetiredSingleEventFlagsNameTheirScriptReplacement) {
+  for (const char* flag : {"--ft-crash-pe", "--ft-crash-at", "--ft-hang-pe",
+                           "--ft-hang-at"}) {
+    std::string arg0 = "prog";
+    std::string name = flag;
+    std::string value = "2";
+    char* argv[] = {arg0.data(), name.data(), value.data()};
+    const cxu::Options opt(3, argv);
+    try {
+      (void)cx::ft::fault_config_from_options(opt);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--ft-script"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The replacement parses to the same single event.
+  std::string arg0 = "prog";
+  std::string name = "--ft-script";
+  std::string value = "crash:2@0.00005";
+  char* argv[] = {arg0.data(), name.data(), value.data()};
+  const cx::ft::FaultConfig cfg =
+      cx::ft::fault_config_from_options(cxu::Options(3, argv));
+  ASSERT_EQ(cfg.script.size(), 1u);
+  EXPECT_EQ(cfg.script[0].pe, 2);
+  EXPECT_DOUBLE_EQ(cfg.script[0].at, 5.0e-5);
+  EXPECT_EQ(cfg.script[0].kind, cx::ft::FailureKind::Crashed);
 }
 
 // ---------------------------------------------------------------------------

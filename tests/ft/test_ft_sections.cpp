@@ -105,8 +105,7 @@ TEST(FtSections, CrashMidSectionReductionMatchesFaultFree) {
   // Same workload with PE 2 scripted to die mid-run (virtual seconds:
   // inside phase 2 of the loop, while reduction fragments are in
   // flight — the fault-free phases land at ~2.4e-5s intervals).
-  machine.faults.crash_pe = 2;
-  machine.faults.crash_at = 5.0e-5;
+  machine.faults.script = {{2, 5.0e-5, cx::ft::FailureKind::Crashed}};
   cx::trace::reset();
   cx::trace::Config tc;
   tc.enabled = true;
@@ -117,7 +116,7 @@ TEST(FtSections, CrashMidSectionReductionMatchesFaultFree) {
   const auto counters = cx::trace::aggregate();
   cx::trace::reset();
 
-  // Guard against the crash silently not firing (a crash_at past the
+  // Guard against the crash silently not firing (a crash time past the
   // makespan would make the digest comparison vacuous).
   EXPECT_GE(counters.ft_failures, 1u);
   EXPECT_EQ(crashed, clean);
