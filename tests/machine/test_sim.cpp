@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "machine/machine.hpp"
 #include "machine/sim_machine.hpp"
 #include "pup/pup.hpp"
+#include "trace/trace.hpp"
+#include "wire/agg.hpp"
 
 namespace {
 
@@ -207,6 +210,97 @@ TEST(SimMachine, EventsProcessedCounter) {
   }
   m->run();
   EXPECT_EQ(smp->events_processed(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// DES timeline golden. Tokens hop between 4 PEs with sender-side
+// aggregation on, seeded drop/dup/delay under reliable delivery, and a
+// scripted crash of PE 3 mid-run. Handlers charge fixed costs only, so
+// the whole timeline is a function of the machine's send/receive
+// pipeline: the makespan, the event count, the delivery order and the
+// trace counters are pinned exactly. Any change to the pipeline that
+// moves one event, RNG draw or clock charge breaks this test.
+
+struct Hop {
+  std::uint32_t token = 0;
+  std::uint32_t hop = 0;
+};
+
+TEST(SimMachine, FaultyAggregatedTimelineIsPinned) {
+  const bool agg_was = cx::wire::agg_enabled();
+  cx::wire::set_agg_enabled(true);
+  cx::trace::reset();
+  cx::trace::Config tc;
+  tc.enabled = true;
+  tc.print_summary = false;
+  cx::trace::configure(tc);
+
+  constexpr int kPes = 4;
+  constexpr std::uint32_t kTokens = 24;
+  constexpr std::uint32_t kHops = 40;
+  MachineConfig cfg = sim(kPes);
+  cfg.faults.seed = 11;
+  cfg.faults.drop = 0.05;
+  cfg.faults.dup = 0.05;
+  cfg.faults.delay = 0.1;
+  cfg.faults.delay_s = 2.0e-5;
+  cfg.faults.reliable = true;
+  cfg.faults.retry.base_s = 5.0e-5;
+  cfg.faults.retry.max_attempts = 4;
+  cfg.faults.script = {{3, 8.0e-4, cx::ft::FailureKind::Crashed}};
+  auto m = make_machine(cfg);
+  auto* smp = dynamic_cast<SimMachine*>(m.get());
+  ASSERT_NE(smp, nullptr);
+  cx::trace::begin_run(kPes, true);
+
+  int failures = 0;
+  m->set_failure_listener([&](const cx::ft::PeFailure&) { ++failures; });
+  std::uint64_t order = 0xcbf29ce484222325ull;
+  std::uint32_t h = 0;
+  auto hop_msg = [&](int dst, Hop t) {
+    auto msg = std::make_unique<Message>();
+    msg->handler = h;
+    msg->dst_pe = dst;
+    // Every seventh hop is too large to aggregate: it bypasses the
+    // batch and forces an ordering flush.
+    msg->data.resize_discard(t.hop % 7 == 6 ? 1500 : sizeof(Hop));
+    std::memset(msg->data.data(), 0, msg->data.size());
+    std::memcpy(msg->data.data(), &t, sizeof(Hop));
+    return msg;
+  };
+  h = m->register_handler([&](MessagePtr msg) {
+    Hop t;
+    std::memcpy(&t, msg->data.data(), sizeof(Hop));
+    const int pe = m->current_pe();
+    order = (order ^ ((static_cast<std::uint64_t>(pe) << 40) |
+                      (static_cast<std::uint64_t>(t.token) << 20) | t.hop)) *
+            1099511628211ull;
+    m->compute(1.0e-6 * (1 + t.token % 3));
+    if (++t.hop == kHops) return;
+    m->send(hop_msg((pe + 1 + static_cast<int>(t.token % 3)) % kPes, t));
+  });
+  for (std::uint32_t i = 0; i < kTokens; ++i) {
+    m->send(hop_msg(static_cast<int>(i % kPes), Hop{i, 0}));
+  }
+  m->run();
+
+  const cx::trace::Counters c = cx::trace::aggregate();
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  cx::trace::reset();
+  cx::wire::set_agg_enabled(agg_was);
+  // Captured before the backends shared one send/receive pipeline.
+  EXPECT_EQ(smp->makespan(), 0x1.4a16ce5e0f2f4p-9);
+  EXPECT_EQ(smp->events_processed(), 1451u);
+  EXPECT_EQ(order, 0x2856eac3c7e4883ull);
+  EXPECT_EQ(c.msgs_sent, 1382u);
+  EXPECT_EQ(c.msgs_recv, 829u);
+  EXPECT_EQ(w.transport_msgs, 1150u);
+  EXPECT_EQ(w.agg_batches, 402u);
+  EXPECT_EQ(c.ft_acks, 543u);
+  EXPECT_EQ(c.ft_drops, 169u);
+  EXPECT_EQ(c.ft_retransmits, 99u);
+  EXPECT_EQ(c.ft_failures, 1u);
+  EXPECT_EQ(failures, 1);
 }
 
 }  // namespace
