@@ -1,4 +1,4 @@
-// cxrun — launcher for the SocketMachine backend.
+// cxrun — launcher for the multi-process socket backend.
 //
 //   cxrun -np N [-ppn K] [-hosts h0,h1,...] ./program [args...]
 //

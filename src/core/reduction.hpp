@@ -83,7 +83,7 @@ void apply_elementwise(std::vector<U>& a, const std::vector<U>& b, Op op) {
 template <typename T, typename Op>
 CombineId arithmetic_combiner();
 
-// Combiner ids travel inside reduction fragments, so every SocketMachine
+// Combiner ids travel inside reduction fragments, so every socket-job
 // rank must assign identical ids. As with ep_id (registry.hpp), these
 // registrars pin registration to static-init time — ordered by the
 // binary, not by which rank's control flow touches a reducer first.

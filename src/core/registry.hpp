@@ -173,7 +173,7 @@ FactoryId factory_id();
 namespace detail {
 
 // Registration must happen at static-initialization time, not on first
-// use: the SocketMachine backend runs one copy of the binary per OS
+// use: the socket backend runs one copy of the binary per OS
 // process, and entry-method / factory ids travel inside messages, so
 // every rank must assign identical ids. Lazy first-use registration
 // orders ids by control flow (the driver rank touches proxies that
@@ -201,7 +201,7 @@ inline FactoryAutoReg<C, CArgs...> factory_auto_reg{};
 
 /// Stable id for entry method M; registered during static init (the
 /// odr-use of the registrar below pins the registration to program
-/// startup so ids agree across SocketMachine ranks).
+/// startup so ids agree across socket-job ranks).
 template <auto M>
 EpId ep_id() {
   (void)&detail::ep_auto_reg<M>;

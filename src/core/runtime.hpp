@@ -52,7 +52,7 @@ class Runtime {
 
   [[nodiscard]] int num_pes() const noexcept;
   [[nodiscard]] int my_pe() const noexcept;
-  /// Multi-process locality (SocketMachine backend): this process's
+  /// Multi-process locality (socket backend): this process's
   /// rank and the job's rank count. 0 of 1 on single-process backends.
   [[nodiscard]] int my_rank() const noexcept;
   [[nodiscard]] int num_ranks() const noexcept;

@@ -1,5 +1,5 @@
 #pragma once
-// cx::ft — fault model shared by both machine backends.
+// cx::ft — fault model shared by every machine backend.
 //
 // A FaultConfig describes which failures a run injects (seeded message
 // drop/duplicate/delay probabilities, scripted PE crash/hang events)
@@ -9,9 +9,11 @@
 // automatically (--ft-auto-recover). It travels inside
 // cxm::MachineConfig so every backend sees the same knobs.
 //
-// All randomness flows through one seeded FaultInjector per machine, so a
-// Sim run with the same seed replays the exact same fault script — the
-// property the ft/chaos test tiers and the DES figure runs rely on.
+// All randomness flows through seeded FaultInjector streams: one per
+// simulator, so a Sim run with the same seed replays the exact same
+// fault script (the property the ft/chaos test tiers and the DES figure
+// runs rely on), and one per PE on the threaded machine, derived from
+// (seed, PE).
 
 #include <cstdint>
 #include <functional>
@@ -63,7 +65,7 @@ struct ScriptedFault {
 struct FaultConfig {
   std::uint64_t seed = 1;  ///< drives every injection decision
 
-  // Network fault injection (per cross-PE message, both backends).
+  // Network fault injection (per cross-PE message, every backend).
   double drop = 0.0;        ///< P(message silently lost)
   double dup = 0.0;         ///< P(message delivered twice)
   double delay = 0.0;       ///< P(message held back before delivery)
@@ -87,6 +89,7 @@ struct FaultConfig {
   double settle_s = -1.0;  ///< quiesce delay before restore; <0 = backend default
 
   // Scripted faults (--ft-script): multi-event, works across revives.
+  // Simulator only; the threaded machine refuses a script.
   std::vector<ScriptedFault> script;
 
   [[nodiscard]] bool injecting() const noexcept {
@@ -96,7 +99,7 @@ struct FaultConfig {
     return !script.empty();
   }
   [[nodiscard]] bool liveness() const noexcept { return heartbeat_s > 0.0; }
-  /// True when any ft machinery must be active. When false, both
+  /// True when any ft machinery must be active. When false, the
   /// backends keep the exact pre-ft send/deliver path: no acks, no
   /// buffering, no extra branches beyond this one check.
   [[nodiscard]] bool enabled() const noexcept {
@@ -126,13 +129,15 @@ FaultConfig fault_config_from_options(const cxu::Options& opt);
 std::vector<ScriptedFault> parse_fault_script(const std::string& spec);
 
 /// Per-message injection decisions, drawn from one seeded stream. The
-/// Sim backend calls this from its single scheduler thread; the threaded
-/// backend serializes calls with a mutex (only when ft is enabled, so
-/// the fault-free fast path never pays for it).
+/// simulator draws from one stream in event order; the threaded machine
+/// gives each PE a stream of its own, so no draw takes a lock.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultConfig& cfg)
       : cfg_(cfg), rng_(cfg.seed) {}
+  /// Stream `stream` (a global PE) of the streams cfg.seed derives.
+  FaultInjector(const FaultConfig& cfg, std::uint64_t stream)
+      : cfg_(cfg), rng_(cxu::Rng(cfg.seed).next() + stream) {}
 
   struct Decision {
     bool drop = false;

@@ -1,5 +1,5 @@
 #pragma once
-// cx::ft reliable-delivery bookkeeping, shared by both machine backends.
+// cx::ft reliable-delivery bookkeeping, shared by every machine backend.
 //
 // The protocol: every cross-PE data message carries a per-(src,dst)
 // sequence number; the receiver dedups (duplicates are acked but not
@@ -9,9 +9,11 @@
 // PeFailure{Unreachable} instead of retrying forever.
 //
 // This header holds only the passive state (windows, dedup trackers,
-// pending-copy records); the timer mechanics live in each backend
-// (DES timer events in SimMachine, cv wait deadlines in
-// ThreadedMachine) because they are fundamentally clock-specific.
+// pending-copy records). Enrollment, the retransmit copy and the
+// receive step are shared too (machine/pipeline.hpp); the timer
+// mechanics live in each backend (DES timer events in SimMachine, the
+// deadline heap below bounding ThreadedMachine's cv waits) because they
+// are fundamentally clock-specific.
 
 #include <cstddef>
 #include <cstdint>

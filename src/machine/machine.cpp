@@ -5,7 +5,6 @@
 #include <string>
 
 #include "machine/sim_machine.hpp"
-#include "machine/socket_machine.hpp"
 #include "machine/threaded_machine.hpp"
 
 namespace cxm {
@@ -52,7 +51,15 @@ void apply_socket_env(MachineConfig& cfg) {
                                 "'");
   }
   p.root_host = r.substr(0, colon);
-  p.root_port = static_cast<std::uint16_t>(std::stoi(r.substr(colon + 1)));
+  const std::string port = r.substr(colon + 1);
+  const bool digits = port.size() <= 5 &&
+                      port.find_first_not_of("0123456789") == std::string::npos;
+  const int n = digits ? std::stoi(port) : 0;
+  if (n < 1 || n > 65535) {
+    throw std::invalid_argument("CXRUN_ROOT port must be 1-65535, got '" +
+                                r + "'");
+  }
+  p.root_port = static_cast<std::uint16_t>(n);
   if (p.rank < 0 || p.nranks < 1 || p.rank >= p.nranks || p.ppn < 1) {
     throw std::invalid_argument("cxrun environment: bad geometry (rank " +
                                 std::to_string(p.rank) + " of " +
@@ -70,18 +77,14 @@ std::unique_ptr<Machine> make_machine(const MachineConfig& cfg) {
   if (effective.backend == Backend::Threaded && socket_env_active()) {
     apply_socket_env(effective);
   }
-  switch (effective.backend) {
-    case Backend::Threaded:
-      return std::make_unique<ThreadedMachine>(effective);
-    case Backend::Sim:
-      return std::make_unique<SimMachine>(effective);
-    case Backend::Socket:
-      if (effective.socket.root_port == 0) {
-        apply_socket_env(effective);  // Socket requested directly: need env
-      }
-      return std::make_unique<SocketMachine>(effective);
+  if (effective.backend == Backend::Sim) {
+    return std::make_unique<SimMachine>(effective);
   }
-  return nullptr;
+  if (effective.backend == Backend::Socket &&
+      effective.socket.root_port == 0) {
+    apply_socket_env(effective);  // Socket requested directly: need env
+  }
+  return std::make_unique<ThreadedMachine>(effective);
 }
 
 }  // namespace cxm

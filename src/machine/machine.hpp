@@ -6,7 +6,11 @@
 //
 //   * ThreadedMachine — one std::thread per PE, real wall clock. Used by
 //     tests, examples and host-scale benchmarks: real concurrency, real
-//     message passing through per-PE mailboxes.
+//     message passing through per-PE mailboxes. Launched by `cxrun` (or
+//     any parent that sets the CXRUN_* environment, see
+//     socket_env_active()) it hosts `ppn` PEs of a job of N OS processes
+//     (ranks), and a Link carries cross-process messages as
+//     length-prefixed cx::wire envelopes over nonblocking TCP (src/net/).
 //
 //   * SimMachine — a deterministic discrete-event simulator: virtual PEs,
 //     per-PE virtual clocks and a NetworkModel. Entry methods execute real
@@ -14,12 +18,7 @@
 //     model. This is the BigSim-style backend used to regenerate the
 //     paper's supercomputer-scale figures (1k-65k PEs) on a workstation.
 //
-//   * SocketMachine — N OS processes (ranks), each hosting `ppn` worker
-//     PEs plus one nonblocking-TCP/epoll comm thread. Cross-process
-//     messages travel as length-prefixed cx::wire envelopes (src/net/);
-//     within a rank, PEs share the threaded backend's mailbox fast
-//     path. Launched by `cxrun` (or any parent that sets the CXRUN_*
-//     environment — see socket_env_active()).
+// Both run the same send/receive steps (machine/pipeline.hpp).
 //
 // The runtime registers handlers once (before run()) and then communicates
 // exclusively through send(). All handler execution happens on the
@@ -38,6 +37,7 @@ namespace cxm {
 
 using Handler = std::function<void(MessagePtr)>;
 
+/// Socket is a ThreadedMachine that joins a multi-process job.
 enum class Backend { Threaded, Sim, Socket };
 
 /// Multi-process launch geometry (Backend::Socket). Filled from the
@@ -61,10 +61,9 @@ struct MachineConfig {
   /// Simulated network (ignored by the threaded backend):
   std::string network = "simple";  ///< "simple" | "torus" | "dragonfly"
   NetworkParams net{};
-  std::uint64_t seed = 1;  ///< tie-break seed (reserved; DES is FIFO-stable)
-  /// Fault-tolerance knobs (cx::ft). Defaults are all-off: both
-  /// backends keep the exact pre-ft fast path when faults.enabled()
-  /// is false.
+  /// Fault-tolerance knobs (cx::ft). Defaults are all-off: the backends
+  /// keep the exact pre-ft fast path when faults.enabled() is false.
+  /// A fault script needs Backend::Sim.
   cx::ft::FaultConfig faults{};
 };
 
@@ -109,7 +108,7 @@ class Machine {
   /// True when the machine uses virtual time (SimMachine).
   [[nodiscard]] virtual bool is_simulated() const noexcept = 0;
 
-  // ---- multi-process locality (SocketMachine) ----------------------------
+  // ---- multi-process locality (Backend::Socket) --------------------------
   // Single-process backends host every PE in rank 0 of 1.
 
   /// This process's rank in the job.
@@ -175,7 +174,8 @@ class Machine {
 
 /// Create a machine from a config. When the CXRUN_* environment is set
 /// (the process was launched by cxrun) a Threaded request is upgraded
-/// to the Socket backend — Sim runs are never upgraded.
+/// to the Socket backend — Sim runs are never upgraded. Throws
+/// std::invalid_argument for a fault script off the simulator.
 std::unique_ptr<Machine> make_machine(const MachineConfig& cfg);
 
 /// True when this process was launched by cxrun (CXRUN_RANK et al. are
@@ -183,7 +183,8 @@ std::unique_ptr<Machine> make_machine(const MachineConfig& cfg);
 bool socket_env_active();
 
 /// Fill cfg.socket from the CXRUN_* environment and select
-/// Backend::Socket. Throws if the environment is malformed.
+/// Backend::Socket. Throws std::invalid_argument if the environment is
+/// malformed (CXRUN_ROOT must be host:port with a port in 1-65535).
 void apply_socket_env(MachineConfig& cfg);
 
 /// The rank cxrun assigned this process, or 0 when not under cxrun.

@@ -19,25 +19,24 @@
 // deterministic event order, so the same seed replays the same fault
 // script. When faults are disabled, send/run take exactly one extra
 // branch and the event stream is byte-identical to the pre-ft backend.
+// Enrollment, the retransmit copy and the receive step are the ones the
+// threaded machine runs (machine/pipeline.hpp); the simulator keeps its
+// virtual clocks, its timer events and its event heap.
 
 #include <cstdint>
 #include <map>
 #include <queue>
 #include <vector>
 
-#include "ft/fault.hpp"
-#include "ft/reliable.hpp"
-#include "machine/machine.hpp"
-#include "wire/agg.hpp"
+#include "machine/pipeline.hpp"
 
 namespace cxm {
 
-class SimMachine final : public Machine {
+class SimMachine final : public PipelineMachine {
  public:
   explicit SimMachine(const MachineConfig& cfg);
   ~SimMachine() override;
 
-  std::uint32_t register_handler(Handler h) override;
   [[nodiscard]] int num_pes() const noexcept override { return num_pes_; }
   [[nodiscard]] int current_pe() const noexcept override {
     return current_pe_;
@@ -82,19 +81,13 @@ class SimMachine final : public Machine {
   void push_timer(int pe, int dst, std::uint64_t seq, double at);
   void handle_timer(int pe, const Message& msg, double time);
   void check_scripted(double time);
-  void fail_pe(int pe, cx::ft::FailureKind kind, double time);
 
-  // ---- sender-side aggregation (--wire-agg) ------------------------------
-  [[nodiscard]] cx::wire::PeAggregator& agg(int pe);
-  /// Deterministic flush: a DES timer event (kWireAggFlush) that seals
-  /// `dst`'s open batch on `pe` unless the batch already closed (its
-  /// generation moved past `gen`).
+  /// Deterministic aggregation flush: a DES timer event (kWireAggFlush)
+  /// that seals `dst`'s open batch on `pe` unless the batch already
+  /// closed (its generation moved past `gen`).
   void push_agg_flush(int pe, int dst, std::uint64_t gen, double at);
-  /// Hand every sealed batch of `pe` to the transport (re-enters send()).
-  void drain_agg(int pe);
 
   int num_pes_;
-  std::vector<Handler> handlers_;
   std::vector<double> clock_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
   std::unique_ptr<NetworkModel> net_;
@@ -102,19 +95,11 @@ class SimMachine final : public Machine {
   std::uint64_t events_processed_ = 0;
   int current_pe_ = -1;
   bool stop_ = false;
-  bool running_ = false;
-  /// Per-channel FIFO enforcement (CHARMX_SIM_FIFO): a message never
-  /// arrives before an earlier message on the same (src, dst) channel,
-  /// matching the in-order delivery of real transport layers.
-  bool fifo_ = false;
-  std::map<std::pair<int, int>, double> last_arrival_;
 
-  /// Sender-side aggregation (sampled from cx::wire::agg_enabled() at
-  /// construction). Forces fifo_ on: the ordering argument needs
-  /// in-order channels. Aggregators are created lazily per PE.
-  bool agg_on_ = false;
-  cx::wire::AggConfig agg_cfg_;
-  std::vector<std::unique_ptr<cx::wire::PeAggregator>> aggs_;
+  /// With aggregation on, channels are FIFO, as its ordering argument
+  /// needs: a message never arrives before an earlier one on the same
+  /// (src, dst) channel.
+  std::map<std::pair<int, int>, double> last_arrival_;
 
   // ---- cx::ft state (all empty / untouched when ft_enabled_ is false) ----
   cx::ft::FaultConfig ft_;
@@ -123,8 +108,7 @@ class SimMachine final : public Machine {
   /// without any --ft-* flags), so run() must check liveness per event.
   bool any_failed_ = false;
   std::unique_ptr<cx::ft::FaultInjector> inj_;
-  std::vector<cx::ft::SenderWindow> senders_;
-  std::vector<cx::ft::ReceiverWindow> receivers_;
+  std::vector<FtPeState> ft_pes_;
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> hung_;
   std::vector<std::uint8_t> unreachable_;
@@ -134,7 +118,6 @@ class SimMachine final : public Machine {
   /// again across revives.
   std::vector<cx::ft::ScriptedFault> script_;
   std::size_t next_script_ = 0;
-  std::vector<std::uint8_t> failure_notified_;
   /// Messages that arrived at a hung PE (its mailbox fills; nothing
   /// drains). Discarded on revive — restore rebuilds state anyway.
   std::vector<std::vector<Message*>> parked_;

@@ -4,61 +4,82 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "machine/link.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
-#include "wire/envelope.hpp"
 
 namespace cxm {
 
 namespace {
 thread_local int t_current_pe = -1;
 
-// FtDrop trace reasons (slot a).
-constexpr std::uint64_t kDropInjected = 0;
-constexpr std::uint64_t kDropDuplicate = 1;
-constexpr std::uint64_t kDropDeadDst = 2;
+/// Payload bytes copied in user space on the way to a socket. The frame
+/// path copies none; the copies counted here are the ones cx::ft makes
+/// of remote sends (the pending copy, retransmits, injected duplicates).
+void count_tx_copy(std::size_t n) {
+  cx::trace::detail::g_wire.net_tx_copy_bytes.fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+/// The job a machine for `cfg` joins: a single-process run is rank 0 of
+/// 1 hosting every PE. Throws std::invalid_argument on a bad geometry.
+SocketParams job_of(const MachineConfig& cfg) {
+  if (cfg.backend != Backend::Socket) {
+    if (cfg.num_pes < 1) throw std::invalid_argument("num_pes must be >= 1");
+    SocketParams p;
+    p.ppn = cfg.num_pes;
+    return p;
+  }
+  const SocketParams& p = cfg.socket;
+  if (p.nranks < 1 || p.ppn < 1 || p.rank < 0 || p.rank >= p.nranks) {
+    throw std::invalid_argument("socket job: bad geometry");
+  }
+  return p;
+}
 }  // namespace
 
 ThreadedMachine::ThreadedMachine(const MachineConfig& cfg)
-    : num_pes_(cfg.num_pes),
+    : ThreadedMachine(cfg, job_of(cfg)) {}
+
+ThreadedMachine::ThreadedMachine(const MachineConfig& cfg,
+                                 const SocketParams& job)
+    : PipelineMachine(job.nranks * job.ppn, job.ppn),
+      rank_(job.rank),
+      nranks_(job.nranks),
+      ppn_(job.ppn),
+      num_pes_(job.nranks * job.ppn),
+      pe_base_(job.rank * job.ppn),
       ft_(cfg.faults),
-      crashed_(static_cast<std::size_t>(cfg.num_pes)),
-      unreachable_(static_cast<std::size_t>(cfg.num_pes)),
-      hung_(static_cast<std::size_t>(cfg.num_pes)),
-      failure_notified_(static_cast<std::size_t>(cfg.num_pes), 0) {
-  if (num_pes_ < 1) throw std::invalid_argument("num_pes must be >= 1");
-  mailboxes_.reserve(static_cast<std::size_t>(num_pes_));
-  for (int i = 0; i < num_pes_; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
+      crashed_(static_cast<std::size_t>(num_pes_)),
+      unreachable_(crashed_.size()),
+      hung_(crashed_.size()) {
+  if (ft_.scripted()) {
+    throw std::invalid_argument(
+        "--ft-script needs the simulator (--backend sim); on the threaded "
+        "and socket backends crash or hang a PE with "
+        "Machine::inject_kill/inject_hang");
   }
-  agg_on_ = cx::wire::agg_enabled();
-  if (agg_on_) {
-    agg_cfg_ = cx::wire::agg_config();
-    aggs_.resize(static_cast<std::size_t>(num_pes_));
+  for (int i = 0; i < ppn_; ++i) {
+    mailboxes_.push_back(std::make_unique<Mailbox>());
   }
   ft_enabled_ = ft_.enabled();
   if (ft_enabled_) {
-    inj_ = std::make_unique<cx::ft::FaultInjector>(ft_);
-    ft_pes_.reserve(static_cast<std::size_t>(num_pes_));
-    for (int i = 0; i < num_pes_; ++i) {
-      ft_pes_.push_back(std::make_unique<FtPeState>());
+    for (int pe = pe_base_; pe < pe_base_ + ppn_; ++pe) {
+      ft_pes_.push_back(std::make_unique<PeFt>(ft_, pe));
     }
+  }
+  if (cfg.backend == Backend::Socket) {
+    link_ = std::make_unique<Link>(*this, cfg.socket);
   }
 }
 
 ThreadedMachine::~ThreadedMachine() = default;
 
-std::uint32_t ThreadedMachine::register_handler(Handler h) {
-  if (running_) throw std::logic_error("register_handler after run()");
-  handlers_.push_back(std::move(h));
-  return static_cast<std::uint32_t>(handlers_.size() - 1);
-}
-
 int ThreadedMachine::current_pe() const noexcept { return t_current_pe; }
 
 void ThreadedMachine::enqueue(int dst, MessagePtr msg) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
+  Mailbox& mb = *mailboxes_[lidx(dst)];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.queue.push_back(std::move(msg));
@@ -68,7 +89,7 @@ void ThreadedMachine::enqueue(int dst, MessagePtr msg) {
 
 void ThreadedMachine::enqueue_delayed(int dst, MessagePtr msg,
                                       double deadline) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dst)];
+  Mailbox& mb = *mailboxes_[lidx(dst)];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.delayed.emplace(deadline, std::move(msg));
@@ -76,20 +97,13 @@ void ThreadedMachine::enqueue_delayed(int dst, MessagePtr msg,
   mb.cv.notify_one();  // the PE re-bounds its wait by the new deadline
 }
 
-cx::wire::PeAggregator& ThreadedMachine::agg(int pe) {
-  auto& a = aggs_[static_cast<std::size_t>(pe)];
-  if (!a) a = std::make_unique<cx::wire::PeAggregator>(agg_cfg_);
-  return *a;
-}
-
-bool ThreadedMachine::agg_pending(int pe) const noexcept {
-  const auto& a = aggs_[static_cast<std::size_t>(pe)];
-  return a != nullptr && a->has_pending();
-}
-
-void ThreadedMachine::drain_agg(int pe) {
-  auto& a = agg(pe);
-  while (MessagePtr batch = a.next_ready()) send(std::move(batch));
+void ThreadedMachine::deliver(MessagePtr msg) {
+  const int dst = msg->dst_pe;
+  if (is_local(dst)) {
+    enqueue(dst, std::move(msg));
+  } else {
+    link_->ship(std::move(msg));
+  }
 }
 
 void ThreadedMachine::send(MessagePtr msg) {
@@ -99,79 +113,57 @@ void ThreadedMachine::send(MessagePtr msg) {
   }
   const int src = t_current_pe;
   msg->src_pe = src;
-  if (agg_on_ && src >= 0) {
-    auto& a = agg(src);
-    if (cx::wire::agg_eligible(*msg, a.config())) {
-      CX_TRACE_EVENT(src, now(), cx::trace::EventKind::MsgSend,
-                     static_cast<std::uint64_t>(dst), msg->wire_size());
-      // No flush timers here: pe_loop's idle hook seals open batches
-      // before the scheduler ever sleeps, so the arm flag is unused.
-      (void)a.absorb(std::move(msg));
-      drain_agg(src);
-      return;
-    }
-    // Bypassing message headed to a destination with an open batch:
-    // seal the batch first so it stays ahead in the mailbox.
-    if ((msg->wire_flags & kWireAggBatch) == 0 && dst != src &&
-        msg->local == nullptr && a.dst_pending(dst)) {
-      a.flush_dst(dst, cx::wire::AggFlush::Ordering);
-      drain_agg(src);
-    }
+  if (msg->local != nullptr && !is_local(dst)) {
+    // The runtime's location layer only takes the by-reference path for
+    // same-process destinations; reaching here is a routing bug.
+    throw std::logic_error(
+        "send: local-payload message addressed to a remote PE");
   }
-  if ((msg->wire_flags & kWireAggBatch) == 0) {
-    CX_TRACE_EVENT(src, now(), cx::trace::EventKind::MsgSend,
-                   static_cast<std::uint64_t>(dst), msg->wire_size());
+  // No flush timers here: pe_loop's idle hook seals open batches before
+  // the scheduler ever sleeps.
+  if (agg_on_ && src >= 0 &&
+      aggregate(lidx(src), msg, 0.0) != Aggregated::No) {
+    drain_agg(lidx(src));
+    return;
   }
-  if (src >= 0 && dst != src && msg->local == nullptr) {
-    cx::trace::detail::g_wire.transport_msgs.fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  note_send(*msg);
   if (ft_enabled_ && src >= 0 && dst != src && !msg->local) {
-    FtPeState& me = *ft_pes_[static_cast<std::size_t>(src)];
+    PeFt& me = *ft_pes_[lidx(src)];
+    const bool remote = !is_local(dst);
     if (ft_.reliable && msg->ft_flags == 0) {
-      const std::uint64_t seq = me.sw.allocate(dst);
-      msg->ft_seq = seq;
-      msg->ft_flags = kFtReliable;
-      cx::ft::PendingSend p;
-      p.handler = msg->handler;
-      p.dst_pe = dst;
-      p.data = msg->data;
-      p.size_override = msg->size_override;
-      p.seq = seq;
-      p.wire_flags = msg->wire_flags;  // a resent batch is still a batch
-      {
-        std::lock_guard<std::mutex> lk(inj_mutex_);
-        p.deadline = now() + inj_->retry_timeout(0);
-      }
-      const double deadline = p.deadline;
-      me.sw.pending.emplace(std::make_pair(dst, seq), std::move(p));
-      me.sw.arm(dst, seq, deadline);
+      const cx::ft::PendingSend& p = enroll(me.sw, me.inj, *msg, now());
+      me.sw.arm(dst, p.seq, p.deadline);
+      if (remote) count_tx_copy(p.data.size());
     }
     if (ft_.injecting()) {
-      cx::ft::FaultInjector::Decision d;
-      {
-        std::lock_guard<std::mutex> lk(inj_mutex_);
-        d = inj_->on_wire();
-      }
+      const cx::ft::FaultInjector::Decision d = me.inj.on_wire();
       if (d.drop) {
         CX_TRACE_EVENT(src, now(), cx::trace::EventKind::FtDrop,
                        kDropInjected, msg->ft_seq);
         return;  // lost on the wire; the pending copy recovers it
       }
-      if (d.dup) enqueue(dst, std::make_unique<Message>(*msg));
-      if (d.extra_delay > 0.0) {
+      if (d.dup) {
+        if (remote) count_tx_copy(msg->data.size());
+        deliver(std::make_unique<Message>(*msg));
+      }
+      if (d.extra_delay > 0.0 && !remote) {
         enqueue_delayed(dst, std::move(msg), now() + d.extra_delay);
         return;
       }
     }
   }
-  enqueue(dst, std::move(msg));
+  deliver(std::move(msg));
 }
 
 void ThreadedMachine::send_after(MessagePtr msg, double delay_s) {
   const int dst = msg->dst_pe;
   if (dst < 0 || dst >= num_pes_) {
     throw std::out_of_range("send_after: bad destination PE");
+  }
+  if (!is_local(dst)) {
+    // Every runtime timer (future deadlines, heartbeat ticks, pool
+    // beats) is self-directed; a remote timer has no owner clock.
+    throw std::logic_error("send_after: destination PE is remote");
   }
   msg->src_pe = t_current_pe;
   // A timer delivery, not a network message: no trace, no injection.
@@ -191,88 +183,93 @@ void ThreadedMachine::charge(double) {
   // Real work already consumed real time; nothing to do.
 }
 
-void ThreadedMachine::notify_failure_once(int pe, cx::ft::FailureKind kind) {
+void ThreadedMachine::wake(int pe) {
+  if (!is_local(pe)) return;
+  Mailbox& mb = *mailboxes_[lidx(pe)];
   {
-    std::lock_guard<std::mutex> lk(failure_mutex_);
-    if (failure_notified_[static_cast<std::size_t>(pe)]) return;
-    failure_notified_[static_cast<std::size_t>(pe)] = 1;
+    std::lock_guard<std::mutex> lock(mb.mutex);
   }
-  const double t = now();
-  CX_TRACE_EVENT(t_current_pe, t, cx::trace::EventKind::FtFailure,
-                 static_cast<std::uint64_t>(pe),
-                 static_cast<std::uint64_t>(kind));
-  if (failure_listener_) {
-    failure_listener_(cx::ft::PeFailure{pe, kind, t});
-  }
+  mb.cv.notify_all();
 }
 
 void ThreadedMachine::inject_kill(int pe) {
+  if (link_) link_->broadcast(cxnet::ControlOp::Kill, pe);
+  apply_kill(pe);
+}
+
+void ThreadedMachine::inject_hang(int pe) {
+  if (link_) link_->broadcast(cxnet::ControlOp::Hang, pe);
+  apply_hang(pe);
+}
+
+void ThreadedMachine::revive_pe(int pe) {
+  if (link_) link_->broadcast(cxnet::ControlOp::Revive, pe);
+  apply_revive(pe);
+}
+
+void ThreadedMachine::apply_kill(int pe) {
   if (pe < 0 || pe >= num_pes_) return;
   if (crashed_[static_cast<std::size_t>(pe)].exchange(
           true, std::memory_order_relaxed)) {
     return;
   }
   any_failed_.store(true, std::memory_order_release);
-  // Wake the PE so it starts discarding its backlog promptly.
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(pe)];
-  {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-  }
-  mb.cv.notify_all();
-  notify_failure_once(pe, cx::ft::FailureKind::Crashed);
+  wake(pe);  // so it starts discarding its backlog promptly
+  notify_failure_once(pe, cx::ft::FailureKind::Crashed, t_current_pe, now());
 }
 
-void ThreadedMachine::inject_hang(int pe) {
+void ThreadedMachine::apply_hang(int pe) {
   if (pe < 0 || pe >= num_pes_) return;
-  const auto i = static_cast<std::size_t>(pe);
-  if (hung_[i].exchange(true, std::memory_order_relaxed)) return;
+  if (hung_[static_cast<std::size_t>(pe)].exchange(
+          true, std::memory_order_relaxed)) {
+    return;
+  }
   any_failed_.store(true, std::memory_order_release);
   // Wake the PE so it parks promptly. Silent by design: peers must
   // discover the hang themselves (retransmit give-up or heartbeats).
-  Mailbox& mb = *mailboxes_[i];
-  {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-  }
-  mb.cv.notify_all();
+  wake(pe);
 }
 
 void ThreadedMachine::declare_failed(int pe, cx::ft::FailureKind kind) {
+  // Declared on external evidence (heartbeat silence): every rank's
+  // liveness layer reaches its own verdict, so no broadcast — the
+  // runtime's ft_notice round spreads the news at the protocol layer.
   if (pe < 0 || pe >= num_pes_) return;
   const auto i = static_cast<std::size_t>(pe);
   any_failed_.store(true, std::memory_order_release);
   if (kind == cx::ft::FailureKind::Crashed) {
     crashed_[i].store(true, std::memory_order_relaxed);
   } else if (!hung_[i].load(std::memory_order_relaxed)) {
-    // Declared dead on external evidence (heartbeat silence) without a
-    // local hang flag: mark unreachable so all traffic to it stops.
+    // Declared dead without a local hang flag: mark unreachable so all
+    // traffic to it stops.
     unreachable_[i].store(true, std::memory_order_relaxed);
   }
-  Mailbox& mb = *mailboxes_[i];
-  {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-  }
-  mb.cv.notify_all();
-  notify_failure_once(pe, kind);
+  wake(pe);
+  notify_failure_once(pe, kind, t_current_pe, now());
 }
 
-void ThreadedMachine::revive_pe(int pe) {
+void ThreadedMachine::apply_revive(int pe) {
   if (pe < 0 || pe >= num_pes_) return;
   const auto i = static_cast<std::size_t>(pe);
-  {
-    // Discard everything the PE accumulated while down (a hung PE's
-    // mailbox kept filling): restore rebuilds application state, so
-    // pre-failure messages must not resurface in the revived PE.
-    Mailbox& mb = *mailboxes_[i];
-    std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.queue.clear();
-    mb.delayed.clear();
+  auto clear_flags = [&] {
     crashed_[i].store(false, std::memory_order_relaxed);
     unreachable_[i].store(false, std::memory_order_relaxed);
     hung_[i].store(false, std::memory_order_relaxed);
+  };
+  if (is_local(pe)) {
+    // Discard everything the PE accumulated while down (a hung PE's
+    // mailbox kept filling): restore rebuilds application state, so
+    // pre-failure messages must not resurface in the revived PE.
+    Mailbox& mb = *mailboxes_[lidx(pe)];
+    std::lock_guard<std::mutex> lock(mb.mutex);
+    mb.queue.clear();
+    mb.delayed.clear();
+    clear_flags();
     mb.cv.notify_all();
+  } else {
+    clear_flags();
   }
-  std::lock_guard<std::mutex> lk(failure_mutex_);
-  failure_notified_[i] = 0;
+  clear_failure_notice(pe);
 }
 
 bool ThreadedMachine::pe_failed(int pe) const noexcept {
@@ -283,7 +280,7 @@ bool ThreadedMachine::pe_failed(int pe) const noexcept {
          hung_[i].load(std::memory_order_relaxed);
 }
 
-void ThreadedMachine::retransmit_due(int pe, FtPeState& me) {
+void ThreadedMachine::retransmit_due(int pe, PeFt& me) {
   // Heap-driven: pop due deadlines off the sender's min-heap instead of
   // scanning every pending send. Stale heap entries (acked, abandoned,
   // or superseded by a later retransmit) are pruned lazily.
@@ -309,23 +306,12 @@ void ThreadedMachine::retransmit_due(int pe, FtPeState& me) {
       unreachable_[di].store(true, std::memory_order_relaxed);
       any_failed_.store(true, std::memory_order_release);
       me.sw.abandon(e.dst);
-      notify_failure_once(e.dst, cx::ft::FailureKind::Unreachable);
+      notify_failure_once(e.dst, cx::ft::FailureKind::Unreachable, pe, now());
       continue;
     }
-    p.attempts++;
-    CX_TRACE_EVENT(pe, tnow, cx::trace::EventKind::FtRetransmit,
-                   static_cast<std::uint64_t>(e.dst),
-                   static_cast<std::uint64_t>(p.attempts));
-    {
-      std::lock_guard<std::mutex> lk(inj_mutex_);
-      p.deadline = tnow + inj_->retry_timeout(p.attempts);
-    }
+    MessagePtr copy = retransmit(pe, p, me.inj, tnow);
     me.sw.arm(e.dst, e.seq, p.deadline);
-    auto copy = cx::wire::clone_payload(p.handler, p.dst_pe, p.data);
-    copy->size_override = p.size_override;
-    copy->ft_seq = p.seq;
-    copy->ft_flags = kFtReliable | kFtRetransmit;
-    copy->wire_flags = p.wire_flags;
+    if (!is_local(e.dst)) count_tx_copy(copy->data.size());
     send(std::move(copy));  // flags are set: no re-enrollment in send()
   }
 }
@@ -334,17 +320,21 @@ void ThreadedMachine::run() {
   running_ = true;
   stop_.store(false, std::memory_order_relaxed);
   epoch_ = cxu::wall_time();
+  if (link_) link_->start();
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(num_pes_));
-  for (int pe = 0; pe < num_pes_; ++pe) {
+  for (int pe = pe_base_; pe < pe_base_ + ppn_; ++pe) {
     threads.emplace_back([this, pe] { pe_loop(pe); });
   }
   for (auto& t : threads) t.join();
+  if (link_) link_->finish();
   running_ = false;
 }
 
-void ThreadedMachine::stop() {
-  stop_.store(true, std::memory_order_release);
+void ThreadedMachine::stop() { request_stop(true); }
+
+void ThreadedMachine::request_stop(bool broadcast) {
+  if (stop_.exchange(true, std::memory_order_acq_rel)) return;
+  if (broadcast && link_) link_->broadcast(cxnet::ControlOp::Stop, -1);
   for (auto& mb : mailboxes_) {
     std::lock_guard<std::mutex> lock(mb->mutex);
     mb->cv.notify_all();
@@ -354,9 +344,10 @@ void ThreadedMachine::stop() {
 void ThreadedMachine::pe_loop(int pe) {
   t_current_pe = pe;
   cxu::set_log_pe(pe);
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(pe)];
-  FtPeState* me =
-      ft_enabled_ ? ft_pes_[static_cast<std::size_t>(pe)].get() : nullptr;
+  const std::size_t li = lidx(pe);
+  const auto gi = static_cast<std::size_t>(pe);
+  Mailbox& mb = *mailboxes_[li];
+  PeFt* me = ft_enabled_ ? ft_pes_[li].get() : nullptr;
   constexpr double kNever = cx::ft::SenderWindow::kNever;
   while (true) {
     MessagePtr msg;
@@ -367,8 +358,7 @@ void ThreadedMachine::pe_loop(int pe) {
       std::unique_lock<std::mutex> lock(mb.mutex);
       for (;;) {
         if (any_failed_.load(std::memory_order_relaxed) &&
-            hung_[static_cast<std::size_t>(pe)].load(
-                std::memory_order_relaxed)) {
+            hung_[gi].load(std::memory_order_relaxed)) {
           // A hung PE parks: it drains nothing, acks nothing, fires no
           // retransmits — total silence until revive_pe() or stop().
           // Its unacked sends and open batches die with it (own-thread
@@ -377,9 +367,7 @@ void ThreadedMachine::pe_loop(int pe) {
             me->sw.pending.clear();
             while (!me->sw.due.empty()) me->sw.due.pop();
           }
-          if (agg_on_ && aggs_[static_cast<std::size_t>(pe)]) {
-            aggs_[static_cast<std::size_t>(pe)].reset();
-          }
+          if (agg_on_ && aggs_[li]) aggs_[li].reset();
           if (stop_.load(std::memory_order_acquire)) {
             stopping = true;
             break;
@@ -398,7 +386,7 @@ void ThreadedMachine::pe_loop(int pe) {
           stopping = true;
           break;
         }
-        if (agg_on_ && agg_pending(pe)) {
+        if (agg_on_ && aggs_[li] && aggs_[li]->has_pending()) {
           // Idle hook: out of work with open batches — seal and send
           // them (outside the mailbox lock) before going to sleep.
           flush_idle = true;
@@ -429,89 +417,31 @@ void ThreadedMachine::pe_loop(int pe) {
                      static_cast<std::uint64_t>(idle_s * 1e9), 0);
     }
     if (me && !me->sw.pending.empty()) retransmit_due(pe, *me);
+    const bool crashed = any_failed_.load(std::memory_order_relaxed) &&
+                         crashed_[gi].load(std::memory_order_relaxed);
     if (!msg) {
       if (stopping) break;
       if (flush_idle) {
-        if (any_failed_.load(std::memory_order_relaxed) &&
-            crashed_[static_cast<std::size_t>(pe)].load(
-                std::memory_order_relaxed)) {
+        if (crashed) {
           // A crashed PE's unsent batches die with it (like its
           // mailbox backlog) — drop them instead of spinning.
-          aggs_[static_cast<std::size_t>(pe)].reset();
+          aggs_[li].reset();
         } else {
-          agg(pe).flush_all(cx::wire::AggFlush::Idle);
-          drain_agg(pe);
+          agg(li).flush_all(cx::wire::AggFlush::Idle);
+          drain_agg(li);
         }
       }
       continue;  // woke only to flush batches / service retransmits
     }
-    if (any_failed_.load(std::memory_order_relaxed) &&
-        crashed_[static_cast<std::size_t>(pe)].load(
-            std::memory_order_relaxed)) {
+    if (crashed) {
       // A crashed PE drains its mailbox but processes — and acks —
       // nothing, so peers see it as dead.
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::FtDrop, kDropDeadDst,
                      msg->ft_seq);
       continue;
     }
-    if (me && msg->ft_flags != 0) {
-      if (msg->ft_flags & kFtAck) {
-        me->sw.acked(msg->src_pe, msg->ft_seq);
-        continue;
-      }
-      if (msg->ft_flags & kFtReliable) {
-        // Always ack — even duplicates, since the original ack may have
-        // been lost on the wire.
-        auto ack = std::make_unique<Message>();
-        ack->dst_pe = msg->src_pe;
-        ack->ft_seq = msg->ft_seq;
-        ack->ft_peer = pe;
-        ack->ft_flags = kFtAck;
-        CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::FtAck,
-                       static_cast<std::uint64_t>(msg->src_pe), msg->ft_seq);
-        send(std::move(ack));
-        if (!me->rw.first_delivery(msg->src_pe, msg->ft_seq)) {
-          CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::FtDrop,
-                         kDropDuplicate, msg->ft_seq);
-          continue;
-        }
-      }
-    }
-    if (agg_on_ && (msg->wire_flags & kWireAggBatch) != 0) {
-      // Unpack the batch into the normal delivery path, in append order.
-      const auto src64 = static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(msg->src_pe));
-      const bool ok = cx::wire::for_each_agg_record(
-          msg->data,
-          [&](std::uint32_t h, const std::byte* p, std::uint32_t len) {
-            if (h >= handlers_.size()) {
-              CX_LOG_ERROR("dropping batched message with unknown handler ",
-                           h);
-              return;
-            }
-            auto sub = std::make_unique<Message>();
-            sub->handler = h;
-            sub->src_pe = msg->src_pe;
-            sub->dst_pe = pe;
-            sub->data.assign(p, len);
-            CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::MsgRecv, src64,
-                           len);
-            handlers_[h](std::move(sub));
-          });
-      if (!ok) CX_LOG_ERROR("dropping malformed aggregation batch");
-      if (stop_.load(std::memory_order_acquire)) break;
-      continue;
-    }
-    const std::uint32_t h = msg->handler;
-    if (h >= handlers_.size()) {
-      CX_LOG_ERROR("dropping message with unknown handler ", h);
-      continue;
-    }
-    CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::MsgRecv,
-                   static_cast<std::uint32_t>(msg->src_pe),
-                   msg->wire_size());
-    handlers_[h](std::move(msg));
-    if (stop_.load(std::memory_order_acquire)) {
+    if (receive(pe, std::move(msg), me, 0.0) == Received::Dispatched &&
+        stop_.load(std::memory_order_acquire)) {
       // Finish promptly on stop; remaining queued messages are dropped by
       // design (mirrors charm.exit() semantics).
       break;

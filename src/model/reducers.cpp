@@ -124,8 +124,8 @@ struct DynRegistry {
   }
 };
 
-// Combiner ids travel in reduction fragments, so SocketMachine ranks
-// must agree on them. Register the built-in folds' combiners eagerly —
+// Combiner ids travel in reduction fragments, so the ranks of a socket
+// job must agree on them. Register the built-in folds' combiners eagerly —
 // in a fixed (alphabetical) order, at static init — instead of on first
 // use, where the order would depend on which rank's control flow asked
 // for which reducer first.

@@ -1,9 +1,9 @@
 #pragma once
 // cx::net on-socket frame format and connection handshake.
 //
-// SocketMachine reuses cx::wire envelopes verbatim: the frame is the
-// Message's wire-relevant header fields plus its payload bytes, behind
-// a u32 length prefix —
+// The socket backend (machine/link.hpp) reuses cx::wire envelopes
+// verbatim: the frame is the Message's wire-relevant header fields plus
+// its payload bytes, behind a u32 length prefix —
 //
 //   u32 len   (bytes that follow: header + payload; NOT including len)
 //   u8  kind  (0 = data, 1 = control)

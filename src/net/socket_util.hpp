@@ -2,7 +2,7 @@
 // Thin blocking/nonblocking TCP helpers over POSIX sockets. Everything
 // here reports failure via std::runtime_error with errno context —
 // wireup is sequential bootstrap code where an exception is the right
-// shape; the epoll data path in SocketMachine handles errors inline.
+// shape; the epoll data path in machine/link.cpp handles errors inline.
 
 #include <cstddef>
 #include <cstdint>

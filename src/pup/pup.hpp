@@ -24,7 +24,7 @@
 //
 // Wire format caveat: fields are packed host-endian and host-width
 // (raw memcpy, no swapping). Within one process that is invisible; the
-// multi-process SocketMachine backend guards it with a connection
+// multi-process socket backend guards it with a connection
 // handshake (src/net/frame.hpp) that rejects peers whose endianness or
 // primitive widths differ, so mismatched hosts fail loudly at wireup
 // instead of silently mis-decoding payloads.

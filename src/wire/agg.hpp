@@ -11,7 +11,7 @@
 // unpacks back into the normal delivery path.
 //
 // Batch wire format (native endianness, like every pup payload: since
-// the SocketMachine backend, batches DO cross process boundaries — the
+// the socket backend, batches DO cross process boundaries — the
 // connection handshake in src/net/frame.hpp rejects peers whose byte
 // order or primitive widths differ, so same-ABI is guaranteed by the
 // time a batch hits a socket):

@@ -1,4 +1,4 @@
-// SocketMachine tier: the on-socket frame codec rejects hostile input
+// Socket-backend tier: the on-socket frame codec rejects hostile input
 // without allocating and reads payloads in place, the connection
 // handshake refuses mismatched peers, and real multi-process jobs
 // (forked ranks wired up through an in-test rendezvous root, exactly
@@ -566,8 +566,8 @@ TEST(SocketJob, RingDigestMatchesThreaded) {
 }
 
 // ---------------------------------------------------------------------------
-// A peer that hangs up mid-payload. Rank 0 is a real SocketMachine in
-// this process; rank 1 is the test itself, wiring up by hand and then
+// A peer that hangs up mid-payload. Rank 0 is a real socket-job machine
+// in this process; rank 1 is the test itself, wiring up by hand and then
 // closing the connection a quarter of the way into a 4 MiB data frame.
 // In-process so the leak checker sees the partly received Message.
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "machine/machine.hpp"
@@ -155,6 +158,65 @@ TEST(ThreadedMachine, SinglePe) {
   }
   m->run();
   EXPECT_EQ(runs, 3);
+}
+
+TEST(ThreadedMachine, FaultScriptIsRefused) {
+  // Scripted crash/hang at a time is a simulator feature; a threaded
+  // run must not silently run fault-free instead.
+  MachineConfig cfg = threaded(4);
+  cfg.faults.script = {{2, 5.0e-5, cx::ft::FailureKind::Crashed}};
+  try {
+    (void)make_machine(cfg);
+    FAIL() << "a fault script on the threaded backend was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--backend sim"), std::string::npos) << what;
+    EXPECT_NE(what.find("inject_kill"), std::string::npos) << what;
+    EXPECT_NE(what.find("inject_hang"), std::string::npos) << what;
+  }
+}
+
+/// Sets the CXRUN_* geometry of a one-rank job for one test and clears
+/// it afterwards, so later tests in this binary stay single-process.
+struct CxrunEnv {
+  explicit CxrunEnv(const char* root) {
+    ::setenv("CXRUN_RANK", "0", 1);
+    ::setenv("CXRUN_NRANKS", "1", 1);
+    ::setenv("CXRUN_PPN", "1", 1);
+    ::setenv("CXRUN_ROOT", root, 1);
+  }
+  ~CxrunEnv() {
+    for (const char* v :
+         {"CXRUN_RANK", "CXRUN_NRANKS", "CXRUN_PPN", "CXRUN_ROOT"}) {
+      ::unsetenv(v);
+    }
+  }
+};
+
+TEST(ThreadedMachine, MalformedCxrunRootIsRejected) {
+  for (const char* root : {"host:70000", "host:65536", "host:12abc",
+                           "host:0", "host:-1", "host:+80", "host: 80",
+                           "host:99999999999"}) {
+    CxrunEnv env(root);
+    MachineConfig cfg;
+    try {
+      apply_socket_env(cfg);
+      ADD_FAILURE() << "CXRUN_ROOT=" << root << " was accepted (port "
+                    << cfg.socket.root_port << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CXRUN_ROOT"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& [root, port] :
+       {std::pair<const char*, int>{"127.0.0.1:1", 1},
+        {"node-7:65535", 65535}, {"h:00080", 80}}) {
+    CxrunEnv env(root);
+    MachineConfig cfg;
+    apply_socket_env(cfg);
+    EXPECT_EQ(cfg.socket.root_port, port) << root;
+    EXPECT_EQ(cfg.backend, Backend::Socket);
+  }
 }
 
 }  // namespace
