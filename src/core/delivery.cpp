@@ -4,7 +4,6 @@
 // and proxy_send.
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -17,12 +16,7 @@ namespace cx {
 
 namespace {
 
-bool when_dirty_default() {
-  const char* e = std::getenv("CHARMX_NO_WHEN_DIRTY");
-  return e == nullptr || e[0] == '\0' || e[0] == '0';
-}
-
-std::atomic<bool> g_when_dirty{when_dirty_default()};
+std::atomic<bool> g_when_dirty{true};
 std::atomic<std::uint64_t> g_when_epoch{0};
 
 }  // namespace

@@ -3,7 +3,6 @@
 // sibling TUs (delivery.cpp, location.cpp, collectives.cpp,
 // coordinator.cpp, ft_handlers.cpp); see runtime_impl.hpp for the map.
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -226,10 +225,8 @@ namespace detail {
 
 namespace {
 // The paper's same-process by-reference optimization (SecII-D) can be
-// disabled for ablation studies (bench/micro_messaging) — also via the
-// CHARMX_NO_LOCAL_FASTPATH environment variable.
-std::atomic<bool> g_local_fastpath{
-    std::getenv("CHARMX_NO_LOCAL_FASTPATH") == nullptr};
+// disabled for ablation studies (bench/micro_messaging).
+std::atomic<bool> g_local_fastpath{true};
 }  // namespace
 
 bool local_fastpath_enabled() noexcept {

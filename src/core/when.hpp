@@ -114,9 +114,9 @@ class DirtyClock {
 };
 
 /// Engine mode switch (defined in delivery.cpp): dirty-dependency
-/// filtering can be disabled — CHARMX_NO_WHEN_DIRTY, or
-/// set_when_dirty_tracking(false) — to recover the seed's retry-all
-/// loop for A/B measurements (bench/micro_when).
+/// filtering can be disabled with set_when_dirty_tracking(false) to
+/// recover the seed's retry-all loop for A/B measurements
+/// (bench/micro_when).
 [[nodiscard]] bool when_dirty_tracking_enabled() noexcept;
 void set_when_dirty_tracking(bool on) noexcept;
 

@@ -237,7 +237,7 @@ void Link::handle_frame(int rank, cxnet::Frame f) {
         m_.request_stop(false);
         return;
       case cxnet::ControlOp::Kill:
-        m_.apply_kill(msg.dst_pe);
+        m_.apply_kill(msg.dst_pe, -1, m_.now());  // the comm thread is no PE
         return;
       case cxnet::ControlOp::Hang:
         m_.apply_hang(msg.dst_pe);
@@ -276,7 +276,9 @@ void Link::peer_down(int rank, const std::string& why) {
   // The whole process is gone: every PE it hosted crashed at once. This
   // feeds the same pipeline as heartbeat declaration, so the runtime's
   // recovery machinery runs unchanged.
-  for (int pe = rank * ppn_; pe < (rank + 1) * ppn_; ++pe) m_.apply_kill(pe);
+  for (int pe = rank * ppn_; pe < (rank + 1) * ppn_; ++pe) {
+    m_.apply_kill(pe, -1, m_.now());
+  }
 }
 
 void Link::comm_loop() {

@@ -18,7 +18,8 @@
 //     model. This is the BigSim-style backend used to regenerate the
 //     paper's supercomputer-scale figures (1k-65k PEs) on a workstation.
 //
-// Both run the same send/receive steps (machine/pipeline.hpp).
+// Both run the same send/receive steps and the same PE-liveness state
+// machine (machine/pipeline.hpp).
 //
 // The runtime registers handlers once (before run()) and then communicates
 // exclusively through send(). All handler execution happens on the
@@ -136,19 +137,23 @@ class Machine {
   /// (future timeouts); delivery goes through the normal handler table.
   virtual void send_after(MessagePtr msg, double delay_s) = 0;
 
-  /// Mark `pe` crashed: it stops processing (and acking) everything from
-  /// now on. Notifies the failure listener. Callable from handler context.
+  /// Mark `pe` crashed, overriding a hang: it stops processing (and
+  /// acking) everything from now on, and its unacked sends and open
+  /// batches die with it. Notifies the failure listener. Callable from
+  /// handler context.
   virtual void inject_kill(int pe) = 0;
 
   /// Make `pe` stop draining its mailbox without any notification — the
   /// test/chaos hook for silent failures. Peers only learn of it via
-  /// retransmit give-up or the heartbeat detector (declare_failed).
+  /// retransmit give-up or the heartbeat detector (declare_failed). A
+  /// hang never overrides a crash.
   virtual void inject_hang(int pe) = 0;
 
   /// Mark `pe` failed as `kind` based on external evidence (the
-  /// liveness layer's accrual detector crossing its threshold). Traffic
-  /// to the PE stops and the failure listener fires once, exactly as if
-  /// the machine had detected the failure itself.
+  /// liveness layer's accrual detector crossing its threshold): crashed
+  /// for Crashed, otherwise unreachable unless it is already down.
+  /// Traffic to the PE stops and the failure listener fires once,
+  /// exactly as if the machine had detected the failure itself.
   virtual void declare_failed(int pe, cx::ft::FailureKind kind) = 0;
 
   /// Undo inject_kill / a scripted crash or hang, as part of restart.
@@ -161,9 +166,10 @@ class Machine {
   using FailureListener = std::function<void(const cx::ft::PeFailure&)>;
 
   /// Install the callback invoked (from machine context — scheduler
-  /// thread on Sim, a PE thread on Threaded) when a PE failure is
-  /// detected: scripted crash, inject_kill, or retransmit give-up.
-  /// At most one notification fires per failed PE.
+  /// thread on Sim, a PE thread or the Link's comm thread on Threaded)
+  /// when a PE failure is detected: scripted crash, inject_kill,
+  /// declare_failed, or retransmit give-up. At most one notification
+  /// fires per failure; revive_pe re-arms it.
   void set_failure_listener(FailureListener cb) {
     failure_listener_ = std::move(cb);
   }

@@ -9,12 +9,30 @@
 
 namespace cxm {
 
-PipelineMachine::PipelineMachine(int num_pes, int local_pes)
-    : agg_on_(cx::wire::agg_enabled()),
-      failure_notified_(static_cast<std::size_t>(std::max(num_pes, 0)), 0) {
-  if (agg_on_) {
-    agg_cfg_ = cx::wire::agg_config();
-    aggs_.resize(static_cast<std::size_t>(std::max(local_pes, 0)));
+PipelineMachine::PipelineMachine(int num_pes, int first_pe, int local_pes,
+                                 const cx::ft::FaultConfig& faults,
+                                 Streams streams)
+    : num_pes_(std::max(num_pes, 0)),
+      first_pe_(first_pe),
+      local_pes_(std::max(local_pes, 0)),
+      agg_on_(cx::wire::agg_enabled()),
+      ft_(faults),
+      ft_enabled_(faults.enabled()),
+      slots_(static_cast<std::size_t>(local_pes_)),
+      life_(static_cast<std::size_t>(num_pes_)),
+      downs_(life_.size()),
+      failure_notified_(life_.size(), 0) {
+  if (agg_on_) agg_cfg_ = cx::wire::agg_config();
+  if (!ft_enabled_) return;
+  if (streams == Streams::Shared) {
+    injectors_.emplace_back(ft_);
+  } else {
+    for (int pe = first_pe_; pe < first_pe_ + local_pes_; ++pe) {
+      injectors_.emplace_back(ft_, static_cast<std::uint64_t>(pe));
+    }
+  }
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    slots_[i].inj = &injectors_[streams == Streams::Shared ? 0 : i];
   }
 }
 
@@ -51,7 +69,7 @@ PipelineMachine::Aggregated PipelineMachine::aggregate(std::size_t slot,
 }
 
 cx::wire::PeAggregator& PipelineMachine::agg(std::size_t slot) {
-  auto& a = aggs_[slot];
+  auto& a = slots_[slot].agg;
   if (!a) a = std::make_unique<cx::wire::PeAggregator>(agg_cfg_);
   return *a;
 }
@@ -74,9 +92,9 @@ void PipelineMachine::note_send(const Message& msg) {
 }
 
 PipelineMachine::Received PipelineMachine::receive(int pe, MessagePtr msg,
-                                                   FtPeState* ft,
                                                    double per_record) {
-  if (ft != nullptr && msg->ft_flags != 0) {
+  if (ft_enabled_ && msg->ft_flags != 0) {
+    PeSlot* ft = &slots_[lidx(pe)];
     if (msg->ft_flags & kFtAck) {
       ft->sw.acked(msg->src_pe, msg->ft_seq);
       return Received::Ack;
@@ -132,57 +150,171 @@ PipelineMachine::Received PipelineMachine::receive(int pe, MessagePtr msg,
   return Received::Dispatched;
 }
 
-cx::ft::PendingSend& PipelineMachine::enroll(cx::ft::SenderWindow& sw,
-                                             cx::ft::FaultInjector& inj,
-                                             Message& msg, double tnow) {
+PipelineMachine::Fate PipelineMachine::fault_step(Message& msg) {
+  const int src = msg.src_pe;
   const int dst = msg.dst_pe;
-  const std::uint64_t seq = sw.allocate(dst);
-  msg.ft_seq = seq;
-  msg.ft_flags = kFtReliable;
-  cx::ft::PendingSend p;
-  p.handler = msg.handler;
-  p.dst_pe = dst;
-  p.data = msg.data;
-  p.size_override = msg.size_override;
-  p.seq = seq;
-  p.wire_flags = msg.wire_flags;  // a resent batch is still a batch
-  p.deadline = tnow + inj.retry_timeout(0);
-  return sw.pending.emplace(std::make_pair(dst, seq), std::move(p))
-      .first->second;
+  if (!ft_enabled_ || src < 0 || dst == src || msg.local != nullptr) return {};
+  PeSlot& me = slots_[lidx(src)];
+  const double tnow = now();
+  if (ft_.reliable && msg.ft_flags == 0) {
+    const std::uint64_t seq = me.sw.allocate(dst);
+    msg.ft_seq = seq;
+    msg.ft_flags = kFtReliable;
+    cx::ft::PendingSend p;
+    p.handler = msg.handler;
+    p.dst_pe = dst;
+    p.data = msg.data;
+    p.size_override = msg.size_override;
+    p.seq = seq;
+    p.wire_flags = msg.wire_flags;  // a resent batch is still a batch
+    p.deadline = tnow + me.inj->retry_timeout(0);
+    arm_retry(src, me.sw.pending.emplace(std::make_pair(dst, seq), std::move(p))
+                       .first->second);
+  }
+  if (!ft_.injecting()) return {};
+  const cx::ft::FaultInjector::Decision d = me.inj->on_wire();
+  if (d.drop) {
+    CX_TRACE_EVENT(src, tnow, cx::trace::EventKind::FtDrop, kDropInjected,
+                   msg.ft_seq);
+    return {true, false, 0.0};  // the pending copy recovers it
+  }
+  return {false, d.dup, d.extra_delay};
 }
 
-MessagePtr PipelineMachine::retransmit(int pe, cx::ft::PendingSend& p,
-                                       cx::ft::FaultInjector& inj,
-                                       double tnow) {
+MessagePtr PipelineMachine::retry(int pe, cx::ft::PendingSend& p,
+                                  double tnow) {
+  PeSlot& me = slots_[lidx(pe)];
+  const int dst = p.dst_pe;
+  if (p.attempts >= ft_.retry.max_attempts) {
+    // Give up: stop all traffic to the destination and surface a typed
+    // failure instead of retrying forever.
+    me.sw.abandon(dst);
+    set_liveness(dst, Liveness::Unreachable);
+    notify_failure_once(dst, cx::ft::FailureKind::Unreachable, pe, tnow);
+    return nullptr;
+  }
   p.attempts++;
   CX_TRACE_EVENT(pe, tnow, cx::trace::EventKind::FtRetransmit,
-                 static_cast<std::uint64_t>(p.dst_pe),
+                 static_cast<std::uint64_t>(dst),
                  static_cast<std::uint64_t>(p.attempts));
-  p.deadline = tnow + inj.retry_timeout(p.attempts);
-  auto copy = cx::wire::clone_payload(p.handler, p.dst_pe, p.data);
+  p.deadline = tnow + me.inj->retry_timeout(p.attempts);
+  auto copy = cx::wire::clone_payload(p.handler, dst, p.data);
   copy->size_override = p.size_override;
   copy->ft_seq = p.seq;
   copy->ft_flags = kFtReliable | kFtRetransmit;
   copy->wire_flags = p.wire_flags;
+  arm_retry(pe, p);
   return copy;
 }
 
+// ---- PE liveness ------------------------------------------------------------
+
+bool PipelineMachine::set_liveness(int pe, Liveness to) {
+  auto& s = life_[static_cast<std::size_t>(pe)];
+  auto cur = s.load(std::memory_order_relaxed);
+  const auto want = static_cast<std::uint8_t>(to);
+  for (;;) {
+    const auto from = static_cast<Liveness>(cur);
+    if (from == to) return false;
+    // A crash and a revive override anything; a hang never overrides a
+    // crash; only an Up PE becomes Unreachable.
+    if ((to == Liveness::Hung && from == Liveness::Crashed) ||
+        (to == Liveness::Unreachable && from != Liveness::Up)) {
+      return false;
+    }
+    if (s.compare_exchange_weak(cur, want, std::memory_order_relaxed)) break;
+  }
+  if (to != Liveness::Up) went_down(pe);
+  return true;
+}
+
+void PipelineMachine::went_down(int pe) {
+  downs_[static_cast<std::size_t>(pe)].fetch_add(1, std::memory_order_relaxed);
+  any_failed_.store(true, std::memory_order_release);
+  wake(pe);
+}
+
+Liveness PipelineMachine::own_step(int pe) {
+  PeSlot& me = slots_[lidx(pe)];
+  const std::uint32_t downs =
+      downs_[static_cast<std::size_t>(pe)].load(std::memory_order_relaxed);
+  if (downs != me.downs_seen) {
+    me.downs_seen = downs;
+    me.sw.pending.clear();
+    me.sw.due = {};
+    me.agg.reset();
+  }
+  return liveness(pe);
+}
+
+void PipelineMachine::inject_kill(int pe) {
+  if (!valid(pe)) return;
+  announce(pe, Liveness::Crashed);
+  apply_kill(pe, current_pe(), now());
+}
+
+void PipelineMachine::inject_hang(int pe) {
+  if (!valid(pe)) return;
+  announce(pe, Liveness::Hung);
+  apply_hang(pe);
+}
+
+void PipelineMachine::revive_pe(int pe) {
+  if (!valid(pe)) return;
+  announce(pe, Liveness::Up);
+  apply_revive(pe);
+}
+
+void PipelineMachine::apply_kill(int pe, int ctx, double t) {
+  if (valid(pe) && set_liveness(pe, Liveness::Crashed)) {
+    notify_failure_once(pe, cx::ft::FailureKind::Crashed, ctx, t);
+  }
+}
+
+void PipelineMachine::apply_hang(int pe) {
+  // Silent by design: peers must discover the hang themselves
+  // (retransmit give-up or the heartbeat detector).
+  if (valid(pe)) set_liveness(pe, Liveness::Hung);
+}
+
+void PipelineMachine::declare_failed(int pe, cx::ft::FailureKind kind) {
+  // Declared on external evidence (heartbeat silence): every rank's
+  // liveness layer reaches its own verdict, so nothing is announced.
+  if (!valid(pe)) return;
+  const Liveness to = kind == cx::ft::FailureKind::Crashed
+                          ? Liveness::Crashed
+                          : Liveness::Unreachable;
+  // A declared PE sheds its windows even when it was already down.
+  if (!set_liveness(pe, to)) went_down(pe);
+  forget_peer(pe);
+  notify_failure_once(pe, kind, current_pe(), now());
+}
+
+void PipelineMachine::apply_revive(int pe) {
+  if (!valid(pe)) return;
+  // Restore rebuilds application state, so nothing from before the
+  // failure may resurface: drop the PE's backlog first, then bring it up.
+  discard_backlog(pe);
+  set_liveness(pe, Liveness::Up);
+  forget_peer(pe);
+  {
+    std::lock_guard<std::mutex> lk(failure_mutex_);
+    failure_notified_[static_cast<std::size_t>(pe)] = 0;
+  }
+  wake(pe);
+}
+
 void PipelineMachine::notify_failure_once(int pe, cx::ft::FailureKind kind,
-                                          int trace_pe, double t) {
+                                          int ctx, double t) {
   {
     std::lock_guard<std::mutex> lk(failure_mutex_);
     if (failure_notified_[static_cast<std::size_t>(pe)]) return;
     failure_notified_[static_cast<std::size_t>(pe)] = 1;
   }
-  CX_TRACE_EVENT(trace_pe, t, cx::trace::EventKind::FtFailure,
+  CX_TRACE_EVENT(ctx, t, cx::trace::EventKind::FtFailure,
                  static_cast<std::uint64_t>(pe),
                  static_cast<std::uint64_t>(kind));
   if (failure_listener_) failure_listener_(cx::ft::PeFailure{pe, kind, t});
-}
-
-void PipelineMachine::clear_failure_notice(int pe) {
-  std::lock_guard<std::mutex> lk(failure_mutex_);
-  failure_notified_[static_cast<std::size_t>(pe)] = 0;
 }
 
 }  // namespace cxm

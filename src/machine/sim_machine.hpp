@@ -19,9 +19,10 @@
 // deterministic event order, so the same seed replays the same fault
 // script. When faults are disabled, send/run take exactly one extra
 // branch and the event stream is byte-identical to the pre-ft backend.
-// Enrollment, the retransmit copy and the receive step are the ones the
-// threaded machine runs (machine/pipeline.hpp); the simulator keeps its
-// virtual clocks, its timer events and its event heap.
+// The fault, retry and receive steps and the PE-liveness state machine
+// are the ones the threaded machine runs (machine/pipeline.hpp); the
+// simulator keeps its virtual clocks, its timer events, its event heap
+// and the messages parked at a hung PE.
 
 #include <cstdint>
 #include <map>
@@ -37,7 +38,6 @@ class SimMachine final : public PipelineMachine {
   explicit SimMachine(const MachineConfig& cfg);
   ~SimMachine() override;
 
-  [[nodiscard]] int num_pes() const noexcept override { return num_pes_; }
   [[nodiscard]] int current_pe() const noexcept override {
     return current_pe_;
   }
@@ -50,11 +50,6 @@ class SimMachine final : public PipelineMachine {
   [[nodiscard]] bool is_simulated() const noexcept override { return true; }
 
   void send_after(MessagePtr msg, double delay_s) override;
-  void inject_kill(int pe) override;
-  void inject_hang(int pe) override;
-  void declare_failed(int pe, cx::ft::FailureKind kind) override;
-  void revive_pe(int pe) override;
-  [[nodiscard]] bool pe_failed(int pe) const noexcept override;
 
   /// Max virtual time reached across PEs (the simulated makespan).
   [[nodiscard]] double makespan() const;
@@ -78,7 +73,9 @@ class SimMachine final : public PipelineMachine {
     }
   };
 
-  void push_timer(int pe, int dst, std::uint64_t seq, double at);
+  void arm_retry(int pe, const cx::ft::PendingSend& p) override;
+  void discard_backlog(int pe) override;
+  void forget_peer(int pe) override;
   void handle_timer(int pe, const Message& msg, double time);
   void check_scripted(double time);
 
@@ -87,7 +84,6 @@ class SimMachine final : public PipelineMachine {
   /// closed (its generation moved past `gen`).
   void push_agg_flush(int pe, int dst, std::uint64_t gen, double at);
 
-  int num_pes_;
   std::vector<double> clock_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
   std::unique_ptr<NetworkModel> net_;
@@ -101,17 +97,6 @@ class SimMachine final : public PipelineMachine {
   /// (src, dst) channel.
   std::map<std::pair<int, int>, double> last_arrival_;
 
-  // ---- cx::ft state (all empty / untouched when ft_enabled_ is false) ----
-  cx::ft::FaultConfig ft_;
-  bool ft_enabled_ = false;
-  /// A PE failed at some point (config-independent: inject_kill works
-  /// without any --ft-* flags), so run() must check liveness per event.
-  bool any_failed_ = false;
-  std::unique_ptr<cx::ft::FaultInjector> inj_;
-  std::vector<FtPeState> ft_pes_;
-  std::vector<std::uint8_t> crashed_;
-  std::vector<std::uint8_t> hung_;
-  std::vector<std::uint8_t> unreachable_;
   /// Time-sorted fault script (--ft-script). The cursor only moves
   /// forward: a fired event never refires, so a revived PE is not
   /// instantly re-killed, yet later script entries can hit the same PE

@@ -44,30 +44,18 @@ ThreadedMachine::ThreadedMachine(const MachineConfig& cfg)
 
 ThreadedMachine::ThreadedMachine(const MachineConfig& cfg,
                                  const SocketParams& job)
-    : PipelineMachine(job.nranks * job.ppn, job.ppn),
+    : PipelineMachine(job.nranks * job.ppn, job.rank * job.ppn, job.ppn,
+                      cfg.faults, Streams::PerPe),
       rank_(job.rank),
-      nranks_(job.nranks),
-      ppn_(job.ppn),
-      num_pes_(job.nranks * job.ppn),
-      pe_base_(job.rank * job.ppn),
-      ft_(cfg.faults),
-      crashed_(static_cast<std::size_t>(num_pes_)),
-      unreachable_(crashed_.size()),
-      hung_(crashed_.size()) {
+      nranks_(job.nranks) {
   if (ft_.scripted()) {
     throw std::invalid_argument(
         "--ft-script needs the simulator (--backend sim); on the threaded "
         "and socket backends crash or hang a PE with "
         "Machine::inject_kill/inject_hang");
   }
-  for (int i = 0; i < ppn_; ++i) {
+  for (int i = 0; i < local_pes_; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
-  }
-  ft_enabled_ = ft_.enabled();
-  if (ft_enabled_) {
-    for (int pe = pe_base_; pe < pe_base_ + ppn_; ++pe) {
-      ft_pes_.push_back(std::make_unique<PeFt>(ft_, pe));
-    }
   }
   if (cfg.backend == Backend::Socket) {
     link_ = std::make_unique<Link>(*this, cfg.socket);
@@ -108,7 +96,7 @@ void ThreadedMachine::deliver(MessagePtr msg) {
 
 void ThreadedMachine::send(MessagePtr msg) {
   const int dst = msg->dst_pe;
-  if (dst < 0 || dst >= num_pes_) {
+  if (!valid(dst)) {
     throw std::out_of_range("send: bad destination PE");
   }
   const int src = t_current_pe;
@@ -127,37 +115,28 @@ void ThreadedMachine::send(MessagePtr msg) {
     return;
   }
   note_send(*msg);
-  if (ft_enabled_ && src >= 0 && dst != src && !msg->local) {
-    PeFt& me = *ft_pes_[lidx(src)];
-    const bool remote = !is_local(dst);
-    if (ft_.reliable && msg->ft_flags == 0) {
-      const cx::ft::PendingSend& p = enroll(me.sw, me.inj, *msg, now());
-      me.sw.arm(dst, p.seq, p.deadline);
-      if (remote) count_tx_copy(p.data.size());
-    }
-    if (ft_.injecting()) {
-      const cx::ft::FaultInjector::Decision d = me.inj.on_wire();
-      if (d.drop) {
-        CX_TRACE_EVENT(src, now(), cx::trace::EventKind::FtDrop,
-                       kDropInjected, msg->ft_seq);
-        return;  // lost on the wire; the pending copy recovers it
-      }
-      if (d.dup) {
-        if (remote) count_tx_copy(msg->data.size());
-        deliver(std::make_unique<Message>(*msg));
-      }
-      if (d.extra_delay > 0.0 && !remote) {
-        enqueue_delayed(dst, std::move(msg), now() + d.extra_delay);
-        return;
-      }
-    }
+  const Fate f = fault_step(*msg);
+  if (f.lost) return;
+  const bool remote = !is_local(dst);
+  if (f.dup) {
+    if (remote) count_tx_copy(msg->data.size());
+    deliver(std::make_unique<Message>(*msg));
+  }
+  if (f.delay > 0.0 && !remote) {
+    enqueue_delayed(dst, std::move(msg), now() + f.delay);
+    return;
   }
   deliver(std::move(msg));
 }
 
+void ThreadedMachine::arm_retry(int pe, const cx::ft::PendingSend& p) {
+  slots_[lidx(pe)].sw.arm(p.dst_pe, p.seq, p.deadline);
+  if (!is_local(p.dst_pe)) count_tx_copy(p.data.size());
+}
+
 void ThreadedMachine::send_after(MessagePtr msg, double delay_s) {
   const int dst = msg->dst_pe;
-  if (dst < 0 || dst >= num_pes_) {
+  if (!valid(dst)) {
     throw std::out_of_range("send_after: bad destination PE");
   }
   if (!is_local(dst)) {
@@ -192,95 +171,25 @@ void ThreadedMachine::wake(int pe) {
   mb.cv.notify_all();
 }
 
-void ThreadedMachine::inject_kill(int pe) {
-  if (link_) link_->broadcast(cxnet::ControlOp::Kill, pe);
-  apply_kill(pe);
+void ThreadedMachine::announce(int pe, Liveness to) {
+  if (!link_) return;
+  link_->broadcast(to == Liveness::Crashed ? cxnet::ControlOp::Kill
+                   : to == Liveness::Hung  ? cxnet::ControlOp::Hang
+                                           : cxnet::ControlOp::Revive,
+                   pe);
 }
 
-void ThreadedMachine::inject_hang(int pe) {
-  if (link_) link_->broadcast(cxnet::ControlOp::Hang, pe);
-  apply_hang(pe);
+void ThreadedMachine::discard_backlog(int pe) {
+  if (!is_local(pe)) return;
+  // A hung PE's mailbox kept filling; a crashed one may not have
+  // drained yet.
+  Mailbox& mb = *mailboxes_[lidx(pe)];
+  std::lock_guard<std::mutex> lock(mb.mutex);
+  mb.queue.clear();
+  mb.delayed.clear();
 }
 
-void ThreadedMachine::revive_pe(int pe) {
-  if (link_) link_->broadcast(cxnet::ControlOp::Revive, pe);
-  apply_revive(pe);
-}
-
-void ThreadedMachine::apply_kill(int pe) {
-  if (pe < 0 || pe >= num_pes_) return;
-  if (crashed_[static_cast<std::size_t>(pe)].exchange(
-          true, std::memory_order_relaxed)) {
-    return;
-  }
-  any_failed_.store(true, std::memory_order_release);
-  wake(pe);  // so it starts discarding its backlog promptly
-  notify_failure_once(pe, cx::ft::FailureKind::Crashed, t_current_pe, now());
-}
-
-void ThreadedMachine::apply_hang(int pe) {
-  if (pe < 0 || pe >= num_pes_) return;
-  if (hung_[static_cast<std::size_t>(pe)].exchange(
-          true, std::memory_order_relaxed)) {
-    return;
-  }
-  any_failed_.store(true, std::memory_order_release);
-  // Wake the PE so it parks promptly. Silent by design: peers must
-  // discover the hang themselves (retransmit give-up or heartbeats).
-  wake(pe);
-}
-
-void ThreadedMachine::declare_failed(int pe, cx::ft::FailureKind kind) {
-  // Declared on external evidence (heartbeat silence): every rank's
-  // liveness layer reaches its own verdict, so no broadcast — the
-  // runtime's ft_notice round spreads the news at the protocol layer.
-  if (pe < 0 || pe >= num_pes_) return;
-  const auto i = static_cast<std::size_t>(pe);
-  any_failed_.store(true, std::memory_order_release);
-  if (kind == cx::ft::FailureKind::Crashed) {
-    crashed_[i].store(true, std::memory_order_relaxed);
-  } else if (!hung_[i].load(std::memory_order_relaxed)) {
-    // Declared dead without a local hang flag: mark unreachable so all
-    // traffic to it stops.
-    unreachable_[i].store(true, std::memory_order_relaxed);
-  }
-  wake(pe);
-  notify_failure_once(pe, kind, t_current_pe, now());
-}
-
-void ThreadedMachine::apply_revive(int pe) {
-  if (pe < 0 || pe >= num_pes_) return;
-  const auto i = static_cast<std::size_t>(pe);
-  auto clear_flags = [&] {
-    crashed_[i].store(false, std::memory_order_relaxed);
-    unreachable_[i].store(false, std::memory_order_relaxed);
-    hung_[i].store(false, std::memory_order_relaxed);
-  };
-  if (is_local(pe)) {
-    // Discard everything the PE accumulated while down (a hung PE's
-    // mailbox kept filling): restore rebuilds application state, so
-    // pre-failure messages must not resurface in the revived PE.
-    Mailbox& mb = *mailboxes_[lidx(pe)];
-    std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.queue.clear();
-    mb.delayed.clear();
-    clear_flags();
-    mb.cv.notify_all();
-  } else {
-    clear_flags();
-  }
-  clear_failure_notice(pe);
-}
-
-bool ThreadedMachine::pe_failed(int pe) const noexcept {
-  if (pe < 0 || pe >= num_pes_) return false;
-  const auto i = static_cast<std::size_t>(pe);
-  return crashed_[i].load(std::memory_order_relaxed) ||
-         unreachable_[i].load(std::memory_order_relaxed) ||
-         hung_[i].load(std::memory_order_relaxed);
-}
-
-void ThreadedMachine::retransmit_due(int pe, PeFt& me) {
+void ThreadedMachine::retransmit_due(int pe, PeSlot& me) {
   // Heap-driven: pop due deadlines off the sender's min-heap instead of
   // scanning every pending send. Stale heap entries (acked, abandoned,
   // or superseded by a later retransmit) are pruned lazily.
@@ -289,9 +198,8 @@ void ThreadedMachine::retransmit_due(int pe, PeFt& me) {
     me.sw.prune_due();
     if (me.sw.due.empty()) return;
     const cx::ft::SenderWindow::DueEntry e = me.sw.due.top();
-    const auto di = static_cast<std::size_t>(e.dst);
-    if (crashed_[di].load(std::memory_order_relaxed) ||
-        unreachable_[di].load(std::memory_order_relaxed)) {
+    const Liveness peer = liveness(e.dst);
+    if (peer == Liveness::Crashed || peer == Liveness::Unreachable) {
       // Known-dead peer: retrying only generates noise.
       me.sw.due.pop();
       me.sw.abandon(e.dst);
@@ -301,18 +209,8 @@ void ThreadedMachine::retransmit_due(int pe, PeFt& me) {
     me.sw.due.pop();
     auto it = me.sw.pending.find({e.dst, e.seq});
     if (it == me.sw.pending.end()) continue;  // raced away; harmless
-    cx::ft::PendingSend& p = it->second;
-    if (p.attempts >= ft_.retry.max_attempts) {
-      unreachable_[di].store(true, std::memory_order_relaxed);
-      any_failed_.store(true, std::memory_order_release);
-      me.sw.abandon(e.dst);
-      notify_failure_once(e.dst, cx::ft::FailureKind::Unreachable, pe, now());
-      continue;
-    }
-    MessagePtr copy = retransmit(pe, p, me.inj, tnow);
-    me.sw.arm(e.dst, e.seq, p.deadline);
-    if (!is_local(e.dst)) count_tx_copy(copy->data.size());
-    send(std::move(copy));  // flags are set: no re-enrollment in send()
+    // Flags are set: send() does not enroll the copy again.
+    if (MessagePtr copy = retry(pe, it->second, tnow)) send(std::move(copy));
   }
 }
 
@@ -322,7 +220,7 @@ void ThreadedMachine::run() {
   epoch_ = cxu::wall_time();
   if (link_) link_->start();
   std::vector<std::thread> threads;
-  for (int pe = pe_base_; pe < pe_base_ + ppn_; ++pe) {
+  for (int pe = first_pe_; pe < first_pe_ + local_pes_; ++pe) {
     threads.emplace_back([this, pe] { pe_loop(pe); });
   }
   for (auto& t : threads) t.join();
@@ -345,29 +243,23 @@ void ThreadedMachine::pe_loop(int pe) {
   t_current_pe = pe;
   cxu::set_log_pe(pe);
   const std::size_t li = lidx(pe);
-  const auto gi = static_cast<std::size_t>(pe);
   Mailbox& mb = *mailboxes_[li];
-  PeFt* me = ft_enabled_ ? ft_pes_[li].get() : nullptr;
+  PeSlot& slot = slots_[li];
+  PeSlot* me = ft_enabled_ ? &slot : nullptr;
   constexpr double kNever = cx::ft::SenderWindow::kNever;
   while (true) {
     MessagePtr msg;
     bool stopping = false;
     bool flush_idle = false;
     double idle_s = -1.0;
+    Liveness life = Liveness::Up;
     {
       std::unique_lock<std::mutex> lock(mb.mutex);
       for (;;) {
-        if (any_failed_.load(std::memory_order_relaxed) &&
-            hung_[gi].load(std::memory_order_relaxed)) {
+        if (any_failed_.load(std::memory_order_relaxed)) life = own_step(pe);
+        if (life == Liveness::Hung) {
           // A hung PE parks: it drains nothing, acks nothing, fires no
           // retransmits — total silence until revive_pe() or stop().
-          // Its unacked sends and open batches die with it (own-thread
-          // state, so only the owner may clear them).
-          if (me && !me->sw.pending.empty()) {
-            me->sw.pending.clear();
-            while (!me->sw.due.empty()) me->sw.due.pop();
-          }
-          if (agg_on_ && aggs_[li]) aggs_[li].reset();
           if (stop_.load(std::memory_order_acquire)) {
             stopping = true;
             break;
@@ -386,7 +278,7 @@ void ThreadedMachine::pe_loop(int pe) {
           stopping = true;
           break;
         }
-        if (agg_on_ && aggs_[li] && aggs_[li]->has_pending()) {
+        if (slot.agg && slot.agg->has_pending()) {
           // Idle hook: out of work with open batches — seal and send
           // them (outside the mailbox lock) before going to sleep.
           flush_idle = true;
@@ -407,7 +299,9 @@ void ThreadedMachine::pe_loop(int pe) {
         const double waited = cxu::wall_time() - t0;
         idle_s = (idle_s < 0.0 ? 0.0 : idle_s) + waited;
       }
-      if (!mb.queue.empty()) {
+      // A stopping PE takes nothing more: a live one stops only once its
+      // queue is empty, and a hung one must not run what it parked.
+      if (!stopping && !mb.queue.empty()) {
         msg = std::move(mb.queue.front());
         mb.queue.pop_front();
       }
@@ -416,31 +310,25 @@ void ThreadedMachine::pe_loop(int pe) {
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::Idle,
                      static_cast<std::uint64_t>(idle_s * 1e9), 0);
     }
-    if (me && !me->sw.pending.empty()) retransmit_due(pe, *me);
-    const bool crashed = any_failed_.load(std::memory_order_relaxed) &&
-                         crashed_[gi].load(std::memory_order_relaxed);
+    // A crashed PE drains its mailbox but processes — and acks —
+    // nothing, so peers see it as dead; own_step shed its windows and
+    // batches, so it neither retransmits nor flushes.
+    const bool crashed = life == Liveness::Crashed;
+    if (me && !crashed && !me->sw.pending.empty()) retransmit_due(pe, *me);
     if (!msg) {
       if (stopping) break;
       if (flush_idle) {
-        if (crashed) {
-          // A crashed PE's unsent batches die with it (like its
-          // mailbox backlog) — drop them instead of spinning.
-          aggs_[li].reset();
-        } else {
-          agg(li).flush_all(cx::wire::AggFlush::Idle);
-          drain_agg(li);
-        }
+        agg(li).flush_all(cx::wire::AggFlush::Idle);
+        drain_agg(li);
       }
       continue;  // woke only to flush batches / service retransmits
     }
     if (crashed) {
-      // A crashed PE drains its mailbox but processes — and acks —
-      // nothing, so peers see it as dead.
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::FtDrop, kDropDeadDst,
                      msg->ft_seq);
       continue;
     }
-    if (receive(pe, std::move(msg), me, 0.0) == Received::Dispatched &&
+    if (receive(pe, std::move(msg), 0.0) == Received::Dispatched &&
         stop_.load(std::memory_order_acquire)) {
       // Finish promptly on stop; remaining queued messages are dropped by
       // design (mirrors charm.exit() semantics).

@@ -9,21 +9,22 @@
 // rank, PEs talk through the mailboxes only, including the by-reference
 // `local` payload path, which never crosses a process boundary.
 //
-// Fault tolerance (cx::ft): with MachineConfig::faults enabled, cross-PE
-// sends pass through a seeded injector (drop/duplicate/delay) and the
-// seq+ack reliable-delivery protocol. Each local PE owns its windows
-// and its injector stream, touched only by its own thread (sends run on
-// the sender's thread; acks come back to the sender's mailbox), so the
-// protocol takes no locks. The reliable header rides in the frame, so it
-// works across ranks unchanged. An injected extra delay applies only to
-// rank-local destinations: TCP supplies real latency, and delaying
-// inside the comm thread would stall unrelated traffic. Retransmit
-// deadlines and delayed deliveries are honored by bounding the mailbox
-// cv wait. Scripted crash/hang at a time is a simulator feature; here
-// PEs die via Machine::inject_kill/inject_hang or a lost connection (a
-// crashed PE keeps draining its mailbox but discards, and never acks,
-// everything). Liveness flags cover every global PE, so a remote failure
-// stops local traffic to it exactly like a local one.
+// Fault tolerance (cx::ft): the fault, retry and receive steps and the
+// PE-liveness state machine are PipelineMachine's. Each local PE's
+// windows and injector stream are touched only by its own thread (sends
+// run on the sender's thread; acks come back to the sender's mailbox),
+// so the protocol takes no locks; a sender abandons its traffic to a
+// peer it finds Crashed or Unreachable when that traffic comes due. The
+// reliable header rides in the frame, so it works across ranks
+// unchanged. An injected extra delay applies only to rank-local
+// destinations: TCP supplies real latency, and delaying inside the comm
+// thread would stall unrelated traffic. Retransmit deadlines and
+// delayed deliveries are honored by bounding the mailbox cv wait.
+// Scripted crash/hang at a time is a simulator feature; here PEs die via
+// Machine::inject_kill/inject_hang or a lost connection. A crashed PE
+// keeps draining its mailbox but discards, and never acks, everything; a
+// hung PE parks. A kill, hang or revive is broadcast to the other ranks,
+// so a remote failure stops local traffic to the PE like a local one.
 
 #include <atomic>
 #include <condition_variable>
@@ -47,7 +48,6 @@ class ThreadedMachine final : public PipelineMachine {
   explicit ThreadedMachine(const MachineConfig& cfg);
   ~ThreadedMachine() override;
 
-  [[nodiscard]] int num_pes() const noexcept override { return num_pes_; }
   [[nodiscard]] int current_pe() const noexcept override;
   void send(MessagePtr msg) override;
   [[nodiscard]] double now() const override;
@@ -60,15 +60,10 @@ class ThreadedMachine final : public PipelineMachine {
   [[nodiscard]] int my_rank() const noexcept override { return rank_; }
   [[nodiscard]] int num_ranks() const noexcept override { return nranks_; }
   [[nodiscard]] int pe_to_rank(int pe) const noexcept override {
-    return pe / ppn_;
+    return pe / local_pes_;
   }
 
   void send_after(MessagePtr msg, double delay_s) override;
-  void inject_kill(int pe) override;
-  void inject_hang(int pe) override;
-  void declare_failed(int pe, cx::ft::FailureKind kind) override;
-  void revive_pe(int pe) override;
-  [[nodiscard]] bool pe_failed(int pe) const noexcept override;
 
  private:
   friend class Link;
@@ -84,57 +79,26 @@ class ThreadedMachine final : public PipelineMachine {
     std::multimap<double, MessagePtr> delayed;
   };
 
-  /// A local PE's reliable-delivery windows and its injector stream.
-  struct PeFt : FtPeState {
-    PeFt(const cx::ft::FaultConfig& cfg, int pe) : inj(cfg, pe) {}
-    cx::ft::FaultInjector inj;
-  };
-
-  [[nodiscard]] bool is_local(int pe) const noexcept {
-    return pe >= pe_base_ && pe < pe_base_ + ppn_;
-  }
-  /// Index of local PE `pe` in the per-PE vectors.
-  [[nodiscard]] std::size_t lidx(int pe) const noexcept {
-    return static_cast<std::size_t>(pe - pe_base_);
-  }
-
   void pe_loop(int pe);
   void enqueue(int dst, MessagePtr msg);
   void enqueue_delayed(int dst, MessagePtr msg, double deadline);
   /// Hand `msg` to its local mailbox or to the Link.
   void deliver(MessagePtr msg);
-  void retransmit_due(int pe, PeFt& me);
-  /// Wake local PE `pe` so it notices a change of its failure flags.
-  void wake(int pe);
-  // Failure control. A change made here is broadcast to the other ranks
-  // first; the Link applies the ones it receives without rebroadcast.
+  void retransmit_due(int pe, PeSlot& me);
+  void arm_retry(int pe, const cx::ft::PendingSend& p) override;
+  /// Broadcast a kill, hang or revive to the other ranks first; the
+  /// Link applies the ones it receives without rebroadcast.
+  void announce(int pe, Liveness to) override;
+  void wake(int pe) override;
+  void discard_backlog(int pe) override;
   void request_stop(bool broadcast);
-  void apply_kill(int pe);
-  void apply_hang(int pe);
-  void apply_revive(int pe);
 
   int rank_;
   int nranks_;
-  int ppn_;       ///< PEs hosted here
-  int num_pes_;   ///< global PE count = nranks * ppn
-  int pe_base_;   ///< first global PE hosted here = rank * ppn
   // Per local PE:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<PeFt>> ft_pes_;
   std::atomic<bool> stop_{false};
   double epoch_ = 0.0;
-
-  cx::ft::FaultConfig ft_;
-  bool ft_enabled_ = false;
-  /// Liveness flags, per global PE, are always allocated: inject_kill()
-  /// must work even without any --ft-* config (e.g. pool tests kill a
-  /// worker directly).
-  std::atomic<bool> any_failed_{false};
-  std::vector<std::atomic<bool>> crashed_;
-  std::vector<std::atomic<bool>> unreachable_;
-  /// A hung PE parks: unlike a crashed PE it does not even drain its
-  /// mailbox, so peers see total silence (no acks, no heartbeats).
-  std::vector<std::atomic<bool>> hung_;
 
   std::unique_ptr<Link> link_;  ///< null in a single-process run
 };

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "liveness_cases.hpp"
 #include "machine/machine.hpp"
 #include "machine/sim_machine.hpp"
 #include "pup/pup.hpp"
@@ -301,6 +302,21 @@ TEST(SimMachine, FaultyAggregatedTimelineIsPinned) {
   EXPECT_EQ(c.ft_retransmits, 99u);
   EXPECT_EQ(c.ft_failures, 1u);
   EXPECT_EQ(failures, 1);
+}
+
+// ---------------------------------------------------------------------------
+// PE liveness: the same state machine as the threaded machine's.
+
+TEST(Liveness, CrashedSenderDoesNotBlameLivePeer) {
+  liveness::crashed_sender_does_not_blame_live_peer(Backend::Sim);
+}
+
+TEST(Liveness, HungPeRunsNothing) {
+  liveness::hung_pe_runs_nothing(Backend::Sim);
+}
+
+TEST(Liveness, TransitionsFollowTheRule) {
+  liveness::check_transitions(liveness::run_transitions(Backend::Sim));
 }
 
 }  // namespace

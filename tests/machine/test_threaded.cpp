@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "liveness_cases.hpp"
 #include "machine/machine.hpp"
 #include "pup/pup.hpp"
 
@@ -217,6 +218,27 @@ TEST(ThreadedMachine, MalformedCxrunRootIsRejected) {
     EXPECT_EQ(cfg.socket.root_port, port) << root;
     EXPECT_EQ(cfg.backend, Backend::Socket);
   }
+}
+
+// ---------------------------------------------------------------------------
+// PE liveness: the same state machine as the simulator's.
+
+TEST(Liveness, CrashedSenderDoesNotBlameLivePeer) {
+  liveness::crashed_sender_does_not_blame_live_peer(Backend::Threaded);
+}
+
+TEST(Liveness, HungPeRunsNothing) {
+  liveness::hung_pe_runs_nothing(Backend::Threaded);
+}
+
+TEST(Liveness, TransitionsMatchAcrossBackends) {
+  const liveness::Transitions threaded = liveness::run_transitions(
+      Backend::Threaded);
+  const liveness::Transitions sim = liveness::run_transitions(Backend::Sim);
+  EXPECT_EQ(threaded.failed, sim.failed);
+  EXPECT_EQ(threaded.notices, sim.notices);
+  EXPECT_EQ(threaded.dead_drops, sim.dead_drops);
+  liveness::check_transitions(threaded);
 }
 
 }  // namespace
