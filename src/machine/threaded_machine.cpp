@@ -14,6 +14,15 @@ namespace cxm {
 namespace {
 thread_local int t_current_pe = -1;
 
+/// How long an idle PE polls its mailbox before it parks. A parked
+/// hand-off pays a futex wake: on a 4-core VM a two-thread condvar
+/// ping-pong took 16 us per round trip parked and 0.9 us polled. The
+/// pool's submit/start/grant/result/future chain is five such
+/// hand-offs, each answered within tens of microseconds, so 100 us
+/// catches them while an idle PE still gives its core back within
+/// 0.1 ms (EXPERIMENTS.md sweeps 25-200 us).
+constexpr double kPollBudget = 100e-6;
+
 /// Payload bytes copied in user space on the way to a socket. The frame
 /// path copies none; the copies counted here are the ones cx::ft makes
 /// of remote sends (the pending copy, retransmits, injected duplicates).
@@ -60,6 +69,12 @@ ThreadedMachine::ThreadedMachine(const MachineConfig& cfg,
   if (cfg.backend == Backend::Socket) {
     link_ = std::make_unique<Link>(*this, cfg.socket);
   }
+  // cxrun starts every rank on this host, so count the whole job's
+  // threads: each rank's PEs plus its comm thread.
+  const unsigned threads = static_cast<unsigned>(nranks_) *
+                           static_cast<unsigned>(local_pes_ + (link_ ? 1 : 0));
+  const unsigned cores = std::thread::hardware_concurrency();
+  poll_ = cores > 0 && threads <= cores;
 }
 
 ThreadedMachine::~ThreadedMachine() = default;
@@ -71,6 +86,7 @@ void ThreadedMachine::enqueue(int dst, MessagePtr msg) {
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.queue.push_back(std::move(msg));
+    mb.posts.fetch_add(1, std::memory_order_relaxed);
   }
   mb.cv.notify_one();
 }
@@ -81,6 +97,7 @@ void ThreadedMachine::enqueue_delayed(int dst, MessagePtr msg,
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.delayed.emplace(deadline, std::move(msg));
+    mb.posts.fetch_add(1, std::memory_order_relaxed);
   }
   mb.cv.notify_one();  // the PE re-bounds its wait by the new deadline
 }
@@ -167,6 +184,7 @@ void ThreadedMachine::wake(int pe) {
   Mailbox& mb = *mailboxes_[lidx(pe)];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
+    mb.posts.fetch_add(1, std::memory_order_relaxed);
   }
   mb.cv.notify_all();
 }
@@ -235,8 +253,21 @@ void ThreadedMachine::request_stop(bool broadcast) {
   if (broadcast && link_) link_->broadcast(cxnet::ControlOp::Stop, -1);
   for (auto& mb : mailboxes_) {
     std::lock_guard<std::mutex> lock(mb->mutex);
+    mb->posts.fetch_add(1, std::memory_order_relaxed);
     mb->cv.notify_all();
   }
+}
+
+void ThreadedMachine::poll(Mailbox& mb, std::unique_lock<std::mutex>& lock,
+                           double until) {
+  const std::uint64_t seen = mb.posts.load(std::memory_order_relaxed);
+  lock.unlock();
+  // Yield, not a pause hint: a PE that has just woken its Link's comm
+  // thread often shares a core with it, and must let it run at once.
+  while (mb.posts.load(std::memory_order_relaxed) == seen && now() < until) {
+    std::this_thread::yield();
+  }
+  lock.lock();
 }
 
 void ThreadedMachine::pe_loop(int pe) {
@@ -252,6 +283,8 @@ void ThreadedMachine::pe_loop(int pe) {
     bool stopping = false;
     bool flush_idle = false;
     double idle_s = -1.0;
+    bool polled = false;  // this idle span already polled once
+    bool parked = false;  // ...and then parked on the cv
     Liveness life = Liveness::Up;
     {
       std::unique_lock<std::mutex> lock(mb.mutex);
@@ -291,9 +324,16 @@ void ThreadedMachine::pe_loop(int pe) {
         if (me) dl = std::min(dl, me->sw.next_deadline());
         if (dl <= tnow) break;  // a retransmit is due; handle below
         const double t0 = cxu::wall_time();
-        if (dl >= kNever) {
+        if (poll_ && !polled) {
+          // Poll first, then re-check everything above under the lock;
+          // park only if the poll caught nothing.
+          polled = true;
+          poll(mb, lock, std::min(dl, tnow + kPollBudget));
+        } else if (dl >= kNever) {
+          parked = true;
           mb.cv.wait(lock);
         } else {
+          parked = true;
           mb.cv.wait_for(lock, std::chrono::duration<double>(dl - tnow));
         }
         const double waited = cxu::wall_time() - t0;
@@ -308,7 +348,8 @@ void ThreadedMachine::pe_loop(int pe) {
     }
     if (idle_s >= 0.0) {
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::Idle,
-                     static_cast<std::uint64_t>(idle_s * 1e9), 0);
+                     static_cast<std::uint64_t>(idle_s * 1e9),
+                     parked ? 1 : 0);
     }
     // A crashed PE drains its mailbox but processes — and acks —
     // nothing, so peers see it as dead; own_step shed its windows and

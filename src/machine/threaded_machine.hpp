@@ -20,6 +20,15 @@
 // destinations: TCP supplies real latency, and delaying inside the comm
 // thread would stall unrelated traffic. Retransmit deadlines and
 // delayed deliveries are honored by bounding the mailbox cv wait.
+//
+// An idle PE polls before it parks: with the mailbox lock released it
+// yield-spins on the mailbox's post counter for up to kPollBudget (and
+// never past its next deadline), then parks on the cv only if nothing
+// was posted. A hand-off to a polling PE costs no futex wake. Polling
+// is on only when the job's threads on this host (every rank's PEs plus
+// its Link comm thread; cxrun starts all ranks locally) fit in the
+// host's hardware threads; an oversubscribed job parks at once.
+//
 // Scripted crash/hang at a time is a simulator feature; here PEs die via
 // Machine::inject_kill/inject_hang or a lost connection. A crashed PE
 // keeps draining its mailbox but discards, and never acks, everything; a
@@ -28,6 +37,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -77,9 +87,17 @@ class ThreadedMachine final : public PipelineMachine {
     /// Deferred deliveries (send_after, injected delays), keyed by the
     /// absolute machine-time deadline; promoted into `queue` when due.
     std::multimap<double, MessagePtr> delayed;
+    /// Bumped under `mutex` by every post that can end an idle wait
+    /// (enqueue, enqueue_delayed, wake, request_stop); a polling PE
+    /// reads it without the lock. Own cache line, so the poller's reads
+    /// do not bounce the mutex's line.
+    alignas(64) std::atomic<std::uint64_t> posts{0};
   };
 
   void pe_loop(int pe);
+  /// Spin with `lock` released until something is posted to `mb` or the
+  /// machine clock reaches `until`; returns with `lock` held again.
+  void poll(Mailbox& mb, std::unique_lock<std::mutex>& lock, double until);
   void enqueue(int dst, MessagePtr msg);
   void enqueue_delayed(int dst, MessagePtr msg, double deadline);
   /// Hand `msg` to its local mailbox or to the Link.
@@ -99,6 +117,7 @@ class ThreadedMachine final : public PipelineMachine {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<bool> stop_{false};
   double epoch_ = 0.0;
+  bool poll_ = false;  ///< idle PEs poll before parking (see top)
 
   std::unique_ptr<Link> link_;  ///< null in a single-process run
 };

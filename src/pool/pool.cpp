@@ -377,8 +377,8 @@ void define_worker() {
         fail_job_locally(self, e.what());
         return Value::none();
       }
-      cx::trace::detail::g_pool.note_task(
-          static_cast<std::uint64_t>((cx::now() - t0) * 1e9));
+      cx::trace::detail::note_pool_task(
+          cx::my_pe(), static_cast<std::uint64_t>((cx::now() - t0) * 1e9));
       ranges_append(ranges_mut(self["rids"]), id, 1);
       self["rvals"].as_list().push_back(std::move(result));
       --budget;
@@ -523,8 +523,9 @@ void ensure_assigned_slot(Dict& job, std::int64_t pe) {
 /// Carve the next grant for worker `pe`: redo (reclaimed) work first,
 /// then fresh tasks. Size follows --pool-chunk, or guided
 /// self-scheduling (remaining / 2·procs — big chunks early to amortize
-/// messaging, small chunks late to balance the tail), clamped by the
-/// job's --pool-max-inflight budget.
+/// messaging, small chunks late to balance the tail; a one-worker job
+/// has no tail to balance and gets everything available), clamped by
+/// the job's --pool-max-inflight budget.
 Ranges take_grant(Dict& job, std::int64_t pe) {
   auto& redo = ranges_mut(job["redo"]);
   const std::int64_t fresh =
@@ -536,7 +537,8 @@ Ranges take_grant(Dict& job, std::int64_t pe) {
   std::int64_t sz = cfg.chunk;
   if (sz <= 0) {
     const std::int64_t procs = std::max<std::int64_t>(1, job_procs_count(job));
-    sz = std::min((avail + 2 * procs - 1) / (2 * procs), kMaxAutoChunk);
+    sz = procs == 1 ? avail : (avail + 2 * procs - 1) / (2 * procs);
+    sz = std::min(sz, kMaxAutoChunk);
   }
   sz = std::max<std::int64_t>(1, std::min(sz, avail));
   auto& p = cx::trace::detail::g_pool;

@@ -14,7 +14,8 @@
 //
 //   * chunked shipping — the master grants tasks in adaptive batches
 //     (guided self-scheduling: ~remaining/(2·procs), shrinking as the
-//     job drains; fixed via --pool-chunk). Grants travel as compact
+//     job drains, all of it for a one-worker job; fixed via
+//     --pool-chunk). Grants travel as compact
 //     (start,count) ranges in one envelope; results return in batches.
 //   * work stealing — a worker whose deque drains steals half of a
 //     random victim's remaining chunk instead of round-tripping to the
@@ -90,7 +91,8 @@ cpy::Value make_error(const std::string& message);
 
 struct PoolConfig {
   /// Tasks per grant. 0 = adaptive guided self-scheduling:
-  /// ceil(remaining / (2 · procs)), clamped to [1, 8192].
+  /// ceil(remaining / (2 · procs)), or all remaining tasks when the
+  /// job has one worker, clamped to [1, 8192].
   std::int64_t chunk = 0;
   /// Randomized work stealing between workers.
   bool steal = true;

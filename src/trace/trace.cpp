@@ -22,12 +22,27 @@ PoolAtomics g_pool;
 SectionAtomics g_section;
 std::atomic<std::uint64_t> g_future_late_drops{0};
 
-void PoolAtomics::note_task(std::uint64_t ns) noexcept {
-  tasks_done.fetch_add(1, std::memory_order_relaxed);
-  task_ns_sum.fetch_add(ns, std::memory_order_relaxed);
+namespace {
+/// One PE's per-task pool counters, on cache lines of their own.
+struct alignas(64) TaskShard {
+  std::atomic<std::uint64_t> tasks_done{0};
+  std::atomic<std::uint64_t> task_ns_sum{0};
+  std::atomic<std::uint64_t> lat_hist[kPoolLatBuckets] = {};
+};
+/// Slot i for PE i of the current run; the last slot is the shared one.
+std::unique_ptr<TaskShard[]> g_task_shards = std::make_unique<TaskShard[]>(1);
+std::size_t g_num_task_shards = 1;
+}  // namespace
+
+void note_pool_task(int pe, std::uint64_t ns) noexcept {
+  const std::size_t shared = g_num_task_shards - 1;
+  const auto i = static_cast<std::size_t>(pe);
+  TaskShard& t = g_task_shards[pe >= 0 && i < shared ? i : shared];
+  t.tasks_done.fetch_add(1, std::memory_order_relaxed);
+  t.task_ns_sum.fetch_add(ns, std::memory_order_relaxed);
   int b = 0;
   while ((1ull << (b + 1)) <= ns && b < kPoolLatBuckets - 1) ++b;
-  lat_hist[b].fetch_add(1, std::memory_order_relaxed);
+  t.lat_hist[b].fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace detail
 
@@ -66,14 +81,17 @@ PoolStats pool_stats() noexcept {
   s.steal_hits = p.steal_hits.load(std::memory_order_relaxed);
   s.stolen_tasks = p.stolen_tasks.load(std::memory_order_relaxed);
   s.result_batches = p.result_batches.load(std::memory_order_relaxed);
-  s.tasks_done = p.tasks_done.load(std::memory_order_relaxed);
   s.beats = p.beats.load(std::memory_order_relaxed);
   s.reassigns = p.reassigns.load(std::memory_order_relaxed);
   s.inflight_clamps = p.inflight_clamps.load(std::memory_order_relaxed);
   s.queue_high_water = p.queue_high_water.load(std::memory_order_relaxed);
-  s.task_ns_sum = p.task_ns_sum.load(std::memory_order_relaxed);
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    s.lat_hist[i] = p.lat_hist[i].load(std::memory_order_relaxed);
+  for (std::size_t k = 0; k < detail::g_num_task_shards; ++k) {
+    const detail::TaskShard& t = detail::g_task_shards[k];
+    s.tasks_done += t.tasks_done.load(std::memory_order_relaxed);
+    s.task_ns_sum += t.task_ns_sum.load(std::memory_order_relaxed);
+    for (int i = 0; i < kPoolLatBuckets; ++i) {
+      s.lat_hist[i] += t.lat_hist[i].load(std::memory_order_relaxed);
+    }
   }
   return s;
 }
@@ -87,14 +105,15 @@ void reset_pool_stats() noexcept {
   p.steal_hits.store(0, std::memory_order_relaxed);
   p.stolen_tasks.store(0, std::memory_order_relaxed);
   p.result_batches.store(0, std::memory_order_relaxed);
-  p.tasks_done.store(0, std::memory_order_relaxed);
   p.beats.store(0, std::memory_order_relaxed);
   p.reassigns.store(0, std::memory_order_relaxed);
   p.inflight_clamps.store(0, std::memory_order_relaxed);
   p.queue_high_water.store(0, std::memory_order_relaxed);
-  p.task_ns_sum.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    p.lat_hist[i].store(0, std::memory_order_relaxed);
+  for (std::size_t k = 0; k < detail::g_num_task_shards; ++k) {
+    detail::TaskShard& t = detail::g_task_shards[k];
+    t.tasks_done.store(0, std::memory_order_relaxed);
+    t.task_ns_sum.store(0, std::memory_order_relaxed);
+    for (auto& h : t.lat_hist) h.store(0, std::memory_order_relaxed);
   }
   auto& j = pool_jobs();
   std::lock_guard<std::mutex> lock(j.mu);
@@ -524,6 +543,11 @@ void begin_run(int num_pes, bool simulated) {
   std::lock_guard<std::mutex> lock(s.mutex);
   s.pes.clear();
   s.simulated = simulated;
+  // One task-counter slot per PE plus the shared one; no PE thread runs
+  // while a Runtime is being brought up.
+  detail::g_num_task_shards = static_cast<std::size_t>(num_pes) + 1;
+  detail::g_task_shards =
+      std::make_unique<detail::TaskShard[]>(detail::g_num_task_shards);
   reset_wire_stats();
   reset_when_stats();
   reset_pool_stats();

@@ -41,7 +41,10 @@ namespace cx::trace {
 //   MsgSend       a = dst PE            b = bytes on the wire
 //   MsgRecv       a = src PE (0xffffffff = external/bootstrap)
 //                                       b = bytes on the wire
-//   Idle          a = span nanoseconds  b = 0        (time = span end)
+//   Idle          a = span nanoseconds  b = 1 if the PE parked on its cv,
+//                                       0 if polling alone caught the
+//                                       next post (always 0 on Sim)
+//                                       (time = span end)
 //   EntryBegin    a = collection id     b = entry-point id
 //   EntryEnd      a = entry-point id    b = span nanoseconds
 //   WhenBuffer    a = collection id     b = buffer depth after enqueue
@@ -323,13 +326,10 @@ struct PoolAtomics {
   std::atomic<std::uint64_t> steal_hits{0};
   std::atomic<std::uint64_t> stolen_tasks{0};
   std::atomic<std::uint64_t> result_batches{0};
-  std::atomic<std::uint64_t> tasks_done{0};
   std::atomic<std::uint64_t> beats{0};
   std::atomic<std::uint64_t> reassigns{0};
   std::atomic<std::uint64_t> inflight_clamps{0};
   std::atomic<std::uint64_t> queue_high_water{0};
-  std::atomic<std::uint64_t> task_ns_sum{0};
-  std::atomic<std::uint64_t> lat_hist[kPoolLatBuckets] = {};
 
   void raise_max(std::atomic<std::uint64_t>& slot,
                  std::uint64_t v) noexcept {
@@ -338,10 +338,15 @@ struct PoolAtomics {
            !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
-
-  void note_task(std::uint64_t ns) noexcept;
 };
 extern PoolAtomics g_pool;
+
+/// Count one pool task that PE `pe` ran in `ns` nanoseconds. The
+/// per-task counters (tasks_done, task_ns_sum, lat_hist) live in per-PE
+/// cache-line slots sized by begin_run, so workers never share a line;
+/// pool_stats() sums them. A `pe` outside the run's PEs counts in one
+/// shared slot.
+void note_pool_task(int pe, std::uint64_t ns) noexcept;
 }  // namespace detail
 
 /// Snapshot of the pool counters since the last

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "liveness_cases.hpp"
 #include "machine/machine.hpp"
 #include "pup/pup.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -218,6 +224,286 @@ TEST(ThreadedMachine, MalformedCxrunRootIsRejected) {
     EXPECT_EQ(cfg.socket.root_port, port) << root;
     EXPECT_EQ(cfg.backend, Backend::Socket);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Poll-then-park: an idle PE polls its mailbox, then parks on its cv.
+// The trace's Idle event says how each idle span ended: b = 1 if the PE
+// parked, 0 if polling alone caught the next post.
+
+/// Whether a run with `pes` PEs polls (the machine's rule: its threads
+/// fit in the host's hardware threads).
+bool polls(int pes) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return cores > 0 && static_cast<unsigned>(pes) <= cores;
+}
+
+/// Traces one machine run so a test can read each PE's idle spans.
+struct TracedRun {
+  explicit TracedRun(int pes) {
+    cx::trace::reset();
+    cx::trace::Config tc;
+    tc.enabled = true;
+    tc.print_summary = false;
+    cx::trace::configure(tc);
+    cx::trace::begin_run(pes, false);
+  }
+  ~TracedRun() { cx::trace::reset(); }
+  TracedRun(const TracedRun&) = delete;
+  TracedRun& operator=(const TracedRun&) = delete;
+
+  static std::vector<cx::trace::Event> of_kind(int pe,
+                                               cx::trace::EventKind kind) {
+    std::vector<cx::trace::Event> out;
+    for (const auto& e : cx::trace::events(pe)) {
+      if (e.kind == kind) out.push_back(e);
+    }
+    return out;
+  }
+  static std::vector<cx::trace::Event> idle(int pe) {
+    return of_kind(pe, cx::trace::EventKind::Idle);
+  }
+};
+
+/// Run `m` until a handler stops it. A watchdog stops it after 20 s, so
+/// a PE that never wakes fails the test instead of hanging it; returns
+/// whether the watchdog had to.
+bool run_bounded(Machine& m) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  bool fired = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(20), [&] { return done; })) {
+      fired = true;
+      m.stop();
+    }
+  });
+  m.run();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  return fired;
+}
+
+MessagePtr msg_to(int dst, std::uint32_t handler, int tag) {
+  auto msg = std::make_unique<Message>();
+  msg->handler = handler;
+  msg->dst_pe = dst;
+  msg->data = pup::to_bytes(tag);
+  return msg;
+}
+
+void sleep_s(double s) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(s));
+}
+
+/// PE 1 runs tag 0 and tells PE 0 it is about to go idle (tag 1); PE 0
+/// then sleeps well past the poll budget, so PE 1 has polled and parked
+/// by the time PE 0 does `act`. Returns whether the watchdog fired.
+template <typename Act>
+bool after_pe1_parks(Machine& m, std::uint32_t& h, Act act) {
+  h = m.register_handler([&m, &h, act](MessagePtr msg) {
+    const int tag = pup::from_bytes<int>(msg->data);
+    if (tag == 0) {
+      m.send(msg_to(0, h, 1));
+    } else if (tag == 1) {
+      sleep_s(0.02);
+      act(tag);
+    } else {
+      act(tag);
+    }
+  });
+  m.send(msg_to(1, h, 0));
+  return run_bounded(m);
+}
+
+TEST(PollThenPark, ParkedPeWakesForEnqueue) {
+  TracedRun trace(2);
+  auto m = make_machine(threaded(2));
+  std::uint32_t h = 0;
+  std::atomic<bool> ran{false};
+  const bool fired = after_pe1_parks(*m, h, [&](int tag) {
+    if (tag == 1) {
+      m->send(msg_to(1, h, 2));
+    } else {
+      ran = m->current_pe() == 1;
+      m->stop();
+    }
+  });
+  EXPECT_FALSE(fired) << "PE 1 never woke for the enqueue";
+  EXPECT_TRUE(ran.load());
+  const auto idle = TracedRun::idle(1);
+  ASSERT_FALSE(idle.empty());
+  EXPECT_EQ(idle.back().b, 1u) << "PE 1 should have parked";
+  EXPECT_GE(idle.back().a, 10'000'000u) << "idle span shorter than the sleep";
+}
+
+TEST(PollThenPark, ParkedPeWakesForWake) {
+  // The hang's wake() must rouse PE 1 from its idle park (idle time
+  // stops counting when it does), and the kill's wake() must rouse it
+  // from its hung park, so it drains tag 2 as a crashed PE.
+  TracedRun trace(2);
+  auto m = make_machine(threaded(2));
+  std::uint32_t h = 0;
+  constexpr double kHung = 0.2;
+  const bool fired = after_pe1_parks(*m, h, [&](int tag) {
+    if (tag != 1) return;
+    m->inject_hang(1);
+    sleep_s(kHung);
+    m->send(msg_to(1, h, 2));
+    sleep_s(0.01);
+    m->inject_kill(1);
+    sleep_s(0.05);
+    m->stop();
+  });
+  EXPECT_FALSE(fired);
+  const auto drops = TracedRun::of_kind(1, cx::trace::EventKind::FtDrop);
+  ASSERT_EQ(drops.size(), 1u) << "the kill did not wake the hung PE";
+  EXPECT_EQ(drops[0].a, 2u);  // dropped at a dead destination
+  // The idle span that the drop ended. Woken by the hang: ~20 ms idle.
+  // Missed: idle until tag 2 arrived, >= 220 ms.
+  std::optional<cx::trace::Event> span;
+  for (const auto& e : TracedRun::idle(1)) {
+    if (e.time <= drops[0].time) span = e;
+  }
+  ASSERT_TRUE(span.has_value());
+  EXPECT_EQ(span->b, 1u);
+  EXPECT_LT(static_cast<double>(span->a) * 1e-9, kHung * 0.75)
+      << "the hang did not wake the idle PE";
+}
+
+TEST(PollThenPark, ParkedPeWakesForSendAfter) {
+  TracedRun trace(2);
+  auto m = make_machine(threaded(2));
+  std::uint32_t h = 0;
+  constexpr double kDelay = 0.02;
+  double sent_at = 0.0, ran_at = 0.0;
+  h = m->register_handler([&](MessagePtr msg) {
+    if (pup::from_bytes<int>(msg->data) == 0) {
+      sent_at = m->now();
+      m->send_after(msg_to(1, h, 1), kDelay);
+    } else {
+      ran_at = m->now();
+      m->stop();
+    }
+  });
+  m->send(msg_to(1, h, 0));
+  EXPECT_FALSE(run_bounded(*m)) << "PE 1 slept through its timer";
+  EXPECT_GE(ran_at - sent_at, kDelay);
+  const auto idle = TracedRun::idle(1);
+  ASSERT_FALSE(idle.empty());
+  EXPECT_EQ(idle.back().b, 1u) << "a 20 ms timer should outlast the poll";
+}
+
+/// Idle spans of PE 1 that polling ended (b = 0) after at least 10 us
+/// and well before the 100 us budget ran out, over up to 20 traced runs
+/// of a 2-PE machine with handler `body`, kicked with tag 0 to PE 1;
+/// stops at the first run that has one. A poll that other processes
+/// preempt past its budget parks, so one loaded run may catch nothing.
+template <typename Body>
+int polled_spans(Body body) {
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    TracedRun trace(2);
+    auto m = make_machine(threaded(2));
+    std::uint32_t h = 0;
+    h = m->register_handler(
+        [&](MessagePtr msg) { body(*m, h, pup::from_bytes<int>(msg->data)); });
+    m->send(msg_to(1, h, 0));
+    EXPECT_FALSE(run_bounded(*m));
+    int caught = 0;
+    for (const auto& e : TracedRun::idle(1)) {
+      if (e.b == 0 && e.a >= 10'000 && e.a < 80'000) ++caught;
+    }
+    if (caught > 0) return caught;
+  }
+  return 0;
+}
+
+TEST(PollThenPark, PollEndsAtAnEarlierDeadline) {
+  // A timer due before the poll budget runs out is taken on time by
+  // the poll itself: the spin is bounded by the deadline, not parked.
+  if (!polls(2)) GTEST_SKIP() << "this host parks at once";
+  const int caught = polled_spans([](Machine& m, std::uint32_t h, int n) {
+    if (n == 20) {
+      m.stop();
+    } else {
+      m.send_after(msg_to(1, h, n + 1), 40e-6);
+    }
+  });
+  EXPECT_GT(caught, 0) << "every 40 us timer parked the PE";
+}
+
+TEST(PollThenPark, ParkedPeWakesForStop) {
+  TracedRun trace(2);
+  auto m = make_machine(threaded(2));
+  std::atomic<int> started{0};
+  const auto h = m->register_handler([&](MessagePtr) { ++started; });
+  for (int pe = 0; pe < 2; ++pe) m->send(msg_to(pe, h, 0));
+  std::thread stopper([&] {
+    while (started.load() < 2) sleep_s(0.001);
+    sleep_s(0.02);  // both PEs have polled and parked by now
+    m->stop();
+  });
+  m->run();  // a PE that misses the stop hangs here
+  stopper.join();
+  for (int pe = 0; pe < 2; ++pe) {
+    const auto idle = TracedRun::idle(pe);
+    ASSERT_EQ(idle.size(), 1u) << "pe " << pe;
+    EXPECT_EQ(idle[0].b, 1u) << "pe " << pe;
+  }
+}
+
+TEST(PollThenPark, PostDuringPollIsTakenWithoutPark) {
+  // PE 0 answers each of PE 1's requests after 40 us of work, while PE
+  // 1 polls: an answer that lands mid-poll is taken unparked.
+  if (!polls(2)) GTEST_SKIP() << "this host parks at once";
+  const int caught = polled_spans([](Machine& m, std::uint32_t h, int n) {
+    if (m.current_pe() == 0) {
+      m.compute(40e-6);
+      m.send(msg_to(1, h, n + 1));
+    } else if (n == 50) {
+      m.stop();
+    } else {
+      m.send(msg_to(0, h, n));
+    }
+  });
+  EXPECT_GT(caught, 0) << "no answer was taken by the poll";
+}
+
+TEST(PollThenPark, OversubscribedPeParksWithoutPolling) {
+  // More PEs than hardware threads: every idle span ends in a park.
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores == 0 || cores > 256) GTEST_SKIP() << "core count " << cores;
+  const int pes = static_cast<int>(cores) + 1;
+  ASSERT_FALSE(polls(pes));
+  TracedRun trace(pes);
+  auto m = make_machine(threaded(pes));
+  constexpr int kRounds = 50;
+  std::uint32_t h = 0;
+  h = m->register_handler([&](MessagePtr msg) {
+    const int n = pup::from_bytes<int>(msg->data);
+    if (n == kRounds) {
+      m->stop();
+      return;
+    }
+    if (m->current_pe() == 0) m->compute(20e-6);
+    m->send(msg_to(1 - m->current_pe(), h, n + 1));
+  });
+  m->send(msg_to(1, h, 0));
+  EXPECT_FALSE(run_bounded(*m));
+  int spans = 0;
+  for (int pe = 0; pe < 2; ++pe) {
+    for (const auto& e : TracedRun::idle(pe)) {
+      ++spans;
+      EXPECT_EQ(e.b, 1u) << "pe " << pe << " polled";
+    }
+  }
+  EXPECT_GT(spans, 0);
 }
 
 // ---------------------------------------------------------------------------

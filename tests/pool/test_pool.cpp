@@ -320,6 +320,33 @@ TEST(PoolEngine, ChunkedGrantsCollapseMasterTraffic) {
   EXPECT_EQ(s.tasks_done, static_cast<std::uint64_t>(n));
 }
 
+TEST(PoolEngine, OneWorkerJobIsGrantedWhole) {
+  // With one worker there is no tail to balance, so guided grants give
+  // it all 64 tasks at once (64 < kMaxAutoChunk). It drains them in
+  // quanta of 16 and, with the 256-result batch never filling, returns
+  // them in the one batch it sends on running dry: 1 grant, 1 batch.
+  PoolConfigGuard guard;
+  cxpool::configure(cxpool::PoolConfig{});
+  const int n = 64;
+  for (const bool sim : {true, false}) {
+    run_program(sim ? sim_cfg(4) : threaded_cfg(4), [n] {
+      Pool pool;
+      const Value r = pool.map("square", 1, iota(n));
+      ASSERT_EQ(r.length(), static_cast<std::uint64_t>(n));
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(r.item(Value(i)).as_int(),
+                  static_cast<std::int64_t>(i) * i);
+      }
+      cx::exit();
+    });
+    const cx::trace::PoolStats s = cx::trace::pool_stats();
+    EXPECT_EQ(s.grants, 1u) << (sim ? "sim" : "threaded");
+    EXPECT_EQ(s.granted_tasks, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(s.result_batches, 1u) << (sim ? "sim" : "threaded");
+    EXPECT_EQ(s.tasks_done, static_cast<std::uint64_t>(n));
+  }
+}
+
 TEST(PoolEngine, StealingFiresOnSkewedCosts) {
   cxpool::register_function("pool_skew", [](const Value& x) {
     // The first quarter of the ids cost 5x: a contiguous-chunk split
