@@ -5,8 +5,8 @@
 //   ./examples/stencil3d --variant cx   --pes 4 --blocks 2,2,2 --cells 8,8,8
 //   ./examples/stencil3d --variant cpy  --iters 20
 //   ./examples/stencil3d --variant mpi  --pes 8 --blocks 2,2,2
-//   ./examples/stencil3d --variant cx --imbalance --lb 30 --backend sim \
-//       --pes 16 --blocks 4,4,4
+//   ./examples/stencil3d --variant cx --imbalance --lb 30 --backend sim
+//       --pes 16 --blocks 4,4,4                        (one command line)
 
 #include <cstdio>
 #include <cstdlib>

@@ -11,6 +11,7 @@
 
 #include "machine/threaded_machine.hpp"
 #include "net/wireup.hpp"
+#include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -26,7 +27,44 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr double kDrainGrace = 3.0;
 /// epoll tag of the wake pipe; a peer's tag is its rank.
 constexpr std::uint32_t kWakeTag = ~0u;
+
+void count(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+  c.fetch_add(n, std::memory_order_relaxed);
+}
+
+/// One nonblocking gathered write of what is left of `head` + `body`
+/// past `off`: the payload goes out straight from the Message's buffer.
+/// Returns sendmsg's result, retrying EINTR.
+ssize_t send_from(int fd, const cxnet::FrameHead& head, const Message* msg,
+                  std::size_t off) {
+  const std::size_t hn = head.size();
+  const std::size_t body = msg ? msg->data.size() : 0;
+  iovec iov[2];
+  std::size_t niov = 0;
+  if (off < hn) {
+    iov[niov++] = {const_cast<std::byte*>(head.data()) + off, hn - off};
+  }
+  const std::size_t body_off = off > hn ? off - hn : 0;
+  if (body_off < body) {
+    iov[niov++] = {const_cast<std::byte*>(msg->data.data()) + body_off,
+                   body - body_off};
+  }
+  msghdr mh{};
+  mh.msg_iov = iov;
+  mh.msg_iovlen = niov;
+  ssize_t w;
+  do {
+    w = ::sendmsg(fd, &mh, MSG_NOSIGNAL | MSG_DONTWAIT);
+  } while (w < 0 && errno == EINTR);
+  return w;
+}
+
+std::size_t frame_bytes(const cxnet::FrameHead& head, const Message* msg) {
+  return head.size() + (msg ? msg->data.size() : 0);
+}
 }  // namespace
+
+using cx::trace::detail::g_wire;
 
 Link::Link(ThreadedMachine& m, const SocketParams& p)
     : m_(m),
@@ -86,10 +124,50 @@ void Link::finish() {
   comm_thread_.join();
 }
 
-void Link::ship(MessagePtr msg) {
+void Link::ship(MessagePtr msg, bool idle) {
   const int rank = msg->dst_pe / ppn_;
-  queue(rank, OutFrame{cxnet::encode_header(*msg), std::move(msg)});
+  OutFrame frame{cxnet::encode_header(*msg), std::move(msg)};
+  if (idle) {
+    Peer& p = peers_[static_cast<std::size_t>(rank)];
+    std::unique_lock<std::mutex> lock(p.mu);
+    if (!p.down && !p.writing && p.outq.empty()) {
+      p.writing = true;
+      lock.unlock();
+      write_direct(rank, std::move(frame));
+      return;
+    }
+  }
+  queue(rank, std::move(frame));
 }
+
+void Link::write_direct(int rank, OutFrame frame) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  const ssize_t w = send_from(p.fd.get(), frame.head, frame.msg.get(), 0);
+  const int err = w < 0 ? errno : 0;
+  const bool whole =
+      w >= 0 && static_cast<std::size_t>(w) == frame_bytes(frame.head,
+                                                           frame.msg.get());
+  if (w > 0) count(g_wire.net_pe_bytes, static_cast<std::uint64_t>(w));
+  if (whole) {
+    count(g_wire.net_pe_frames);
+  } else if (w >= 0 || err == EAGAIN || err == EWOULDBLOCK) {
+    count(g_wire.net_partial_writes);
+  }
+  // Frames other PEs queued meanwhile, the rest of a short write, or a
+  // frame whose write failed (the comm thread meets the error again and
+  // drops the peer) are the comm thread's.
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lock(p.mu);
+    p.writing = false;
+    if (!whole) {
+      p.out_off = w > 0 ? static_cast<std::size_t>(w) : 0;
+      p.outq.push_front(std::move(frame));
+    }
+    wake = !p.outq.empty();
+  }
+  if (wake) wake_comm();
+}  // a frame written whole frees its Message here, on the PE
 
 void Link::broadcast(cxnet::ControlOp op, int pe) {
   for (int r = 0; r < nranks_; ++r) {
@@ -100,24 +178,25 @@ void Link::broadcast(cxnet::ControlOp op, int pe) {
 
 void Link::queue(int rank, OutFrame frame) {
   {
-    std::lock_guard<std::mutex> lock(out_mutex_);
     Peer& p = peers_[static_cast<std::size_t>(rank)];
-    if (p.down || !p.fd.valid()) return;  // dead rank: drop, ft recovers
+    std::lock_guard<std::mutex> lock(p.mu);
+    if (p.down) return;  // dead rank: drop, ft recovers
     p.outq.push_back(std::move(frame));
   }
   wake_comm();
 }
 
 void Link::wake_comm() {
+  count(g_wire.net_wake_pokes);
   const char b = 1;
   [[maybe_unused]] const ssize_t rc = ::write(wake_w_.get(), &b, 1);
   // EAGAIN means the pipe already holds a wake byte — good enough.
 }
 
 bool Link::all_out_drained() {
-  std::lock_guard<std::mutex> lock(out_mutex_);
-  for (const Peer& p : peers_) {
-    if (!p.down && !p.outq.empty()) return false;
+  for (Peer& p : peers_) {
+    std::lock_guard<std::mutex> lock(p.mu);
+    if (!p.down && (p.writing || !p.outq.empty())) return false;
   }
   return true;
 }
@@ -133,49 +212,55 @@ void Link::set_events(int rank, std::uint32_t events) {
 
 bool Link::flush_peer(int rank) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
-  if (!p.fd.valid()) return true;
-  for (;;) {
-    OutFrame* front = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(out_mutex_);
-      if (p.down) return true;
-      if (p.outq.empty()) break;
+  OutFrame* front = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(p.mu);
+    if (p.down) return true;
+    if (!p.outq.empty()) {
+      if (p.writing) return true;  // a PE's write: it wakes us for the rest
+      p.writing = true;
       front = &p.outq.front();
     }
-    // Only the comm thread pops, so `front` stays valid unlocked. One
-    // gathered write covers what is left of the head and of the payload,
-    // which goes out straight from the Message's buffer.
-    const std::size_t head = front->head.size();
-    const std::size_t body = front->msg ? front->msg->data.size() : 0;
-    iovec iov[2];
-    std::size_t niov = 0;
-    if (p.out_off < head) {
-      iov[niov++] = {front->head.data() + p.out_off, head - p.out_off};
-    }
-    const std::size_t body_off = p.out_off > head ? p.out_off - head : 0;
-    if (body_off < body) {
-      iov[niov++] = {front->msg->data.data() + body_off, body - body_off};
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = niov;
-    const ssize_t w = ::sendmsg(p.fd.get(), &mh, MSG_NOSIGNAL);
+  }
+  // While this thread owns the write side no PE pushes to the front, so
+  // `front` stays valid unlocked.
+  while (front != nullptr) {
+    const ssize_t w = send_from(p.fd.get(), front->head, front->msg.get(),
+                                p.out_off);
     if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!p.want_write) set_events(rank, EPOLLIN | EPOLLOUT);
+      const int err = errno;
+      {
+        std::lock_guard<std::mutex> lock(p.mu);
+        p.writing = false;
+      }
+      if (err == EAGAIN || err == EWOULDBLOCK) {
+        count(g_wire.net_partial_writes);
+        if (!p.want_write) {
+          count(g_wire.net_epollout_arms);
+          set_events(rank, EPOLLIN | EPOLLOUT);
+        }
         return true;
       }
-      peer_down(rank, std::string("send failed: ") + std::strerror(errno));
+      peer_down(rank, std::string("send failed: ") + std::strerror(err));
       return false;
     }
+    count(g_wire.net_comm_bytes, static_cast<std::uint64_t>(w));
     p.out_off += static_cast<std::size_t>(w);
-    if (p.out_off == head + body) {
-      p.out_off = 0;
-      MessagePtr sent;  // declared before the lock: freed after unlocking
-      std::lock_guard<std::mutex> lock(out_mutex_);
-      sent = std::move(p.outq.front().msg);
-      p.outq.pop_front();
+    if (p.out_off < frame_bytes(front->head, front->msg.get())) {
+      count(g_wire.net_partial_writes);
+      continue;
+    }
+    count(g_wire.net_comm_frames);
+    MessagePtr sent;  // declared before the lock: freed after unlocking
+    std::lock_guard<std::mutex> lock(p.mu);
+    p.out_off = 0;
+    sent = std::move(front->msg);
+    p.outq.pop_front();
+    if (p.outq.empty()) {
+      p.writing = false;
+      front = nullptr;
+    } else {
+      front = &p.outq.front();
     }
   }
   if (p.want_write) set_events(rank, EPOLLIN);
@@ -260,9 +345,16 @@ void Link::peer_down(int rank, const std::string& why) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
   std::deque<OutFrame> dropped;  // freed after the lock is released
   {
-    std::lock_guard<std::mutex> lock(out_mutex_);
+    std::unique_lock<std::mutex> lock(p.mu);
     if (p.down) return;
     p.down = true;
+    // A PE mid-write finishes its one nonblocking sendmsg before the fd
+    // closes; no PE starts another once `down` is set.
+    while (p.writing) {
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
     dropped.swap(p.outq);
   }
   p.reader = cxnet::FrameReader{};  // frees a partly received Message
@@ -286,7 +378,8 @@ void Link::comm_loop() {
   double drain_deadline = -1.0;
   epoll_event events[64];
   for (;;) {
-    // Push pending output first: PE threads only queue + wake.
+    // Push pending output first: what PEs queued, and what is left of
+    // their short writes.
     for (int r = 0; r < nranks_; ++r) {
       if (r != rank_) (void)flush_peer(r);
     }
@@ -295,7 +388,7 @@ void Link::comm_loop() {
       if (drain_deadline < 0.0) drain_deadline = cxu::wall_time() + kDrainGrace;
       if (all_out_drained() || cxu::wall_time() > drain_deadline) break;
     }
-    const int n = ::epoll_wait(epoll_.get(), events, 64, stopping ? 20 : 200);
+    const int n = wait_events(events, 64, stopping ? 20 : 200);
     for (int i = 0; i < n; ++i) {
       if (events[i].data.u32 == kWakeTag) {
         char drain[256];
@@ -318,6 +411,24 @@ void Link::comm_loop() {
       if ((events[i].events & EPOLLIN) != 0) read_peer(rank);
     }
   }
+}
+
+int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
+  if (m_.poll_) {
+    // Same rule and budget as an idle PE: yield-spin on a zero-timeout
+    // wait, so a frame or a wake that comes soon costs no wake-up.
+    const double until = cxu::wall_time() + ThreadedMachine::kPollBudget;
+    do {
+      const int n = ::epoll_wait(epoll_.get(), events, cap, 0);
+      if (n > 0) {
+        count(g_wire.net_poll_hits);
+        return n;
+      }
+      std::this_thread::yield();
+    } while (cxu::wall_time() < until);
+  }
+  count(g_wire.net_blocking_waits);
+  return ::epoll_wait(epoll_.get(), events, cap, timeout_ms);
 }
 
 }  // namespace cxm

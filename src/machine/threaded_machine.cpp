@@ -14,15 +14,6 @@ namespace cxm {
 namespace {
 thread_local int t_current_pe = -1;
 
-/// How long an idle PE polls its mailbox before it parks. A parked
-/// hand-off pays a futex wake: on a 4-core VM a two-thread condvar
-/// ping-pong took 16 us per round trip parked and 0.9 us polled. The
-/// pool's submit/start/grant/result/future chain is five such
-/// hand-offs, each answered within tens of microseconds, so 100 us
-/// catches them while an idle PE still gives its core back within
-/// 0.1 ms (EXPERIMENTS.md sweeps 25-200 us).
-constexpr double kPollBudget = 100e-6;
-
 /// Payload bytes copied in user space on the way to a socket. The frame
 /// path copies none; the copies counted here are the ones cx::ft makes
 /// of remote sends (the pending copy, retransmits, injected duplicates).
@@ -86,6 +77,7 @@ void ThreadedMachine::enqueue(int dst, MessagePtr msg) {
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.queue.push_back(std::move(msg));
+    mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
     mb.posts.fetch_add(1, std::memory_order_relaxed);
   }
   mb.cv.notify_one();
@@ -106,9 +98,15 @@ void ThreadedMachine::deliver(MessagePtr msg) {
   const int dst = msg->dst_pe;
   if (is_local(dst)) {
     enqueue(dst, std::move(msg));
-  } else {
-    link_->ship(std::move(msg));
+    return;
   }
+  // A PE whose mailbox holds nothing runnable may write the frame itself
+  // instead of handing it to the comm thread (Link::ship).
+  const int src = t_current_pe;
+  const bool idle =
+      src >= 0 && is_local(src) &&
+      mailboxes_[lidx(src)]->ready.load(std::memory_order_relaxed) == 0;
+  link_->ship(std::move(msg), idle);
 }
 
 void ThreadedMachine::send(MessagePtr msg) {
@@ -204,6 +202,7 @@ void ThreadedMachine::discard_backlog(int pe) {
   Mailbox& mb = *mailboxes_[lidx(pe)];
   std::lock_guard<std::mutex> lock(mb.mutex);
   mb.queue.clear();
+  mb.ready.store(0, std::memory_order_relaxed);
   mb.delayed.clear();
 }
 
@@ -304,6 +303,7 @@ void ThreadedMachine::pe_loop(int pe) {
         // Promote deferred deliveries that have come due.
         while (!mb.delayed.empty() && mb.delayed.begin()->first <= tnow) {
           mb.queue.push_back(std::move(mb.delayed.begin()->second));
+          mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
           mb.delayed.erase(mb.delayed.begin());
         }
         if (!mb.queue.empty()) break;
@@ -344,6 +344,7 @@ void ThreadedMachine::pe_loop(int pe) {
       if (!stopping && !mb.queue.empty()) {
         msg = std::move(mb.queue.front());
         mb.queue.pop_front();
+        mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
       }
     }
     if (idle_s >= 0.0) {

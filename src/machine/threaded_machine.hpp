@@ -27,7 +27,13 @@
 // was posted. A hand-off to a polling PE costs no futex wake. Polling
 // is on only when the job's threads on this host (every rank's PEs plus
 // its Link comm thread; cxrun starts all ranks locally) fit in the
-// host's hardware threads; an oversubscribed job parks at once.
+// host's hardware threads; an oversubscribed job parks at once. The
+// Link's comm thread follows the same rule for its epoll wait.
+//
+// A PE sending to another rank while its mailbox holds nothing runnable
+// writes the frame to the socket itself (Link::ship); a busy PE leaves
+// the write to the comm thread, so it never pays a syscall it could
+// have overlapped with work.
 //
 // Scripted crash/hang at a time is a simulator feature; here PEs die via
 // Machine::inject_kill/inject_hang or a lost connection. A crashed PE
@@ -92,7 +98,21 @@ class ThreadedMachine final : public PipelineMachine {
     /// reads it without the lock. Own cache line, so the poller's reads
     /// do not bounce the mutex's line.
     alignas(64) std::atomic<std::uint64_t> posts{0};
+    /// queue.size(), stored under `mutex` after every change; the
+    /// owning PE reads it without the lock to learn whether it has
+    /// anything else to run (deliver).
+    std::atomic<std::size_t> ready{0};
   };
+
+  /// How long an idle PE polls its mailbox, and the Link's comm thread
+  /// its epoll set, before parking. A parked hand-off pays a futex wake:
+  /// on a 4-core VM a two-thread condvar ping-pong took 16 us per round
+  /// trip parked and 0.9 us polled. The pool's submit/start/grant/
+  /// result/future chain is five such hand-offs, each answered within
+  /// tens of microseconds, so 100 us catches them while an idle thread
+  /// still gives its core back within 0.1 ms (EXPERIMENTS.md sweeps
+  /// 25-200 us).
+  static constexpr double kPollBudget = 100e-6;
 
   void pe_loop(int pe);
   /// Spin with `lock` released until something is posted to `mb` or the
@@ -100,7 +120,8 @@ class ThreadedMachine final : public PipelineMachine {
   void poll(Mailbox& mb, std::unique_lock<std::mutex>& lock, double until);
   void enqueue(int dst, MessagePtr msg);
   void enqueue_delayed(int dst, MessagePtr msg, double deadline);
-  /// Hand `msg` to its local mailbox or to the Link.
+  /// Hand `msg` to its local mailbox or to the Link, telling the Link
+  /// whether the sending PE has nothing else to run.
   void deliver(MessagePtr msg);
   void retransmit_due(int pe, PeSlot& me);
   void arm_retry(int pe, const cx::ft::PendingSend& p) override;

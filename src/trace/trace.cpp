@@ -175,6 +175,15 @@ WireStats wire_stats() noexcept {
   s.agg_flush_order = w.agg_flush_order.load(std::memory_order_relaxed);
   s.net_tx_copy_bytes = w.net_tx_copy_bytes.load(std::memory_order_relaxed);
   s.net_rx_copy_bytes = w.net_rx_copy_bytes.load(std::memory_order_relaxed);
+  s.net_pe_frames = w.net_pe_frames.load(std::memory_order_relaxed);
+  s.net_pe_bytes = w.net_pe_bytes.load(std::memory_order_relaxed);
+  s.net_comm_frames = w.net_comm_frames.load(std::memory_order_relaxed);
+  s.net_comm_bytes = w.net_comm_bytes.load(std::memory_order_relaxed);
+  s.net_partial_writes = w.net_partial_writes.load(std::memory_order_relaxed);
+  s.net_epollout_arms = w.net_epollout_arms.load(std::memory_order_relaxed);
+  s.net_wake_pokes = w.net_wake_pokes.load(std::memory_order_relaxed);
+  s.net_poll_hits = w.net_poll_hits.load(std::memory_order_relaxed);
+  s.net_blocking_waits = w.net_blocking_waits.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -200,6 +209,15 @@ void reset_wire_stats() noexcept {
   w.agg_flush_order.store(0, std::memory_order_relaxed);
   w.net_tx_copy_bytes.store(0, std::memory_order_relaxed);
   w.net_rx_copy_bytes.store(0, std::memory_order_relaxed);
+  w.net_pe_frames.store(0, std::memory_order_relaxed);
+  w.net_pe_bytes.store(0, std::memory_order_relaxed);
+  w.net_comm_frames.store(0, std::memory_order_relaxed);
+  w.net_comm_bytes.store(0, std::memory_order_relaxed);
+  w.net_partial_writes.store(0, std::memory_order_relaxed);
+  w.net_epollout_arms.store(0, std::memory_order_relaxed);
+  w.net_wake_pokes.store(0, std::memory_order_relaxed);
+  w.net_poll_hits.store(0, std::memory_order_relaxed);
+  w.net_blocking_waits.store(0, std::memory_order_relaxed);
 }
 
 SectionStats section_stats() noexcept {
@@ -707,6 +725,15 @@ std::string summary_table() {
        << w.agg_flush_count << " count / " << w.agg_flush_idle << " idle / "
        << w.agg_flush_order << " ordering\n";
   }
+  if (w.net_pe_frames + w.net_comm_frames > 0) {
+    os << "cx::net: " << w.net_pe_frames << " frames written by PEs ("
+       << human_bytes(w.net_pe_bytes) << "), " << w.net_comm_frames
+       << " by the comm thread (" << human_bytes(w.net_comm_bytes) << "), "
+       << w.net_partial_writes << " short writes, " << w.net_epollout_arms
+       << " EPOLLOUT arms, " << w.net_wake_pokes << " wake pokes, "
+       << w.net_poll_hits << " comm polls hit, " << w.net_blocking_waits
+       << " blocking waits\n";
+  }
   const SectionStats ss = section_stats();
   if (ss.sections_built + ss.mcasts + ss.contributions > 0) {
     os << "\ncx::sections: " << ss.sections_built << " built, " << ss.mcasts
@@ -801,7 +828,16 @@ void write_json(std::ostream& os) {
      << ",\"agg_flush_idle\":" << w.agg_flush_idle
      << ",\"agg_flush_order\":" << w.agg_flush_order
      << ",\"net_tx_copy_bytes\":" << w.net_tx_copy_bytes
-     << ",\"net_rx_copy_bytes\":" << w.net_rx_copy_bytes << "}";
+     << ",\"net_rx_copy_bytes\":" << w.net_rx_copy_bytes
+     << ",\"net_pe_frames\":" << w.net_pe_frames
+     << ",\"net_pe_bytes\":" << w.net_pe_bytes
+     << ",\"net_comm_frames\":" << w.net_comm_frames
+     << ",\"net_comm_bytes\":" << w.net_comm_bytes
+     << ",\"net_partial_writes\":" << w.net_partial_writes
+     << ",\"net_epollout_arms\":" << w.net_epollout_arms
+     << ",\"net_wake_pokes\":" << w.net_wake_pokes
+     << ",\"net_poll_hits\":" << w.net_poll_hits
+     << ",\"net_blocking_waits\":" << w.net_blocking_waits << "}";
   const SectionStats sect = section_stats();
   os << ",\"sections\":{\"sections_built\":" << sect.sections_built
      << ",\"tree_repairs\":" << sect.tree_repairs

@@ -196,6 +196,21 @@ struct WireStats {
   std::uint64_t net_tx_copy_bytes = 0;
   std::uint64_t net_rx_copy_bytes = 0;
 
+  // Socket backend: which thread wrote the frames, and what the
+  // hand-offs between the PEs and the Link's comm thread cost. A PE with
+  // nothing else to run writes its own frame; the comm thread writes
+  // what is queued. A frame counts for the thread that wrote its last
+  // byte, bytes for the thread that wrote them.
+  std::uint64_t net_pe_frames = 0;       ///< frames finished by a PE
+  std::uint64_t net_pe_bytes = 0;        ///< frame bytes PEs wrote
+  std::uint64_t net_comm_frames = 0;     ///< frames finished by the comm thread
+  std::uint64_t net_comm_bytes = 0;      ///< frame bytes the comm thread wrote
+  std::uint64_t net_partial_writes = 0;  ///< sendmsg calls short or EAGAIN
+  std::uint64_t net_epollout_arms = 0;   ///< EPOLLOUT armed on a full socket
+  std::uint64_t net_wake_pokes = 0;      ///< writes to the comm thread's pipe
+  std::uint64_t net_poll_hits = 0;       ///< comm-thread polls that caught an event
+  std::uint64_t net_blocking_waits = 0;  ///< comm-thread blocking epoll_waits
+
   /// Mean messages per sealed batch (0 when no batches were sealed).
   [[nodiscard]] double msgs_per_batch() const noexcept {
     return agg_batches > 0 ? static_cast<double>(agg_msgs) /
@@ -402,6 +417,17 @@ struct WireAtomics {
   std::atomic<std::uint64_t> agg_flush_order{0};
   std::atomic<std::uint64_t> net_tx_copy_bytes{0};
   std::atomic<std::uint64_t> net_rx_copy_bytes{0};
+  // Touched only on the Link path; own cache line, away from the
+  // per-send counters above.
+  alignas(64) std::atomic<std::uint64_t> net_pe_frames{0};
+  std::atomic<std::uint64_t> net_pe_bytes{0};
+  std::atomic<std::uint64_t> net_comm_frames{0};
+  std::atomic<std::uint64_t> net_comm_bytes{0};
+  std::atomic<std::uint64_t> net_partial_writes{0};
+  std::atomic<std::uint64_t> net_epollout_arms{0};
+  std::atomic<std::uint64_t> net_wake_pokes{0};
+  std::atomic<std::uint64_t> net_poll_hits{0};
+  std::atomic<std::uint64_t> net_blocking_waits{0};
 };
 extern WireAtomics g_wire;
 }  // namespace detail

@@ -3,7 +3,9 @@
 // handshake refuses mismatched peers, and real multi-process jobs
 // (forked ranks wired up through an in-test rendezvous root, exactly
 // what cxrun does) produce results byte-identical to the threaded
-// backend without copying payloads on send. The kill -9 test checks the
+// backend without copying payloads on send. Frames stay in order when
+// idle PEs write their own and the comm thread writes the rest, and an
+// idle closed loop never wakes the comm thread. The kill -9 test checks the
 // full failure pipeline: SIGKILL -> connection EOF -> peer_down ->
 // crashed + failure listener -> coordinator notice round ->
 // cx::ft::on_failure on the surviving rank; a peer hanging up
@@ -347,6 +349,15 @@ struct Job {
     for (int fd : out) {
       if (fd >= 0) ::close(fd);
     }
+    // A test that failed before reaping its ranks must not leave them
+    // running: kill and reap every child that has not exited yet.
+    for (pid_t pid : pids) {
+      int st = 0;
+      if (::waitpid(pid, &st, WNOHANG) == 0) {
+        ::kill(pid, SIGKILL);
+        (void)::waitpid(pid, &st, 0);
+      }
+    }
   }
 };
 
@@ -557,6 +568,240 @@ TEST(SocketJob, RingDigestMatchesThreaded) {
     EXPECT_GT(rep.remote_in, 0u) << "rank " << r;
     EXPECT_LE(rep.rx_copy_bytes, rep.remote_in * (64u << 10))
         << "rank " << r;
+  }
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Who writes a frame. A PE whose mailbox holds nothing runnable writes
+// its own frame when nothing is queued ahead of it for that rank; the
+// comm thread writes everything else, including the rest of a short
+// write. These two jobs pin both halves: ordering when the paths mix
+// under load, and the exact frame count when every sender is idle.
+
+/// The Link counters one forked rank reports.
+struct LinkReport {
+  std::uint64_t bad = 0;       ///< stream messages out of order or corrupt
+  std::uint64_t received = 0;  ///< stream messages that arrived
+  std::uint64_t pe_frames = 0;
+  std::uint64_t comm_frames = 0;
+  std::uint64_t wake_pokes = 0;
+};
+
+LinkReport link_counters() {
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  LinkReport r;
+  r.pe_frames = w.net_pe_frames;
+  r.comm_frames = w.net_comm_frames;
+  r.wake_pokes = w.net_wake_pokes;
+  return r;
+}
+
+/// Messages per (src, dst) stream and round: one lap of kRingSizes, so
+/// 4 MiB + 7 overflows the socket buffer, then small frames queued
+/// behind it. Rounds repeat the race without holding more memory.
+constexpr std::uint32_t kStreamMsgs = kNumRingSizes + 4;
+constexpr std::uint32_t kStreamRounds = 3;
+
+std::byte stream_byte(int src, int dst, std::uint32_t seq, std::size_t i) {
+  return static_cast<std::byte>(seq * 131 + i * 7 + static_cast<std::size_t>(
+                                                        src * 17 + dst));
+}
+
+struct StreamHead {
+  std::int32_t src = 0;
+  std::uint32_t seq = 0;
+};
+
+TEST(SocketJob, MixedWritePathsKeepEveryStreamInOrder) {
+  // 2 ranks x 2 PEs; in each round every PE streams numbered messages to
+  // both PEs of the other rank. Rank 1 starts late and its PEs sleep
+  // before they send, so rank 0's idle PEs write frames themselves until
+  // the socket is full, and the frames behind a short write (their own,
+  // or the other PE's while one writes) queue for the comm thread; rank
+  // 1 then sends with a full mailbox, so its frames queue too. PE 0
+  // starts the next round once every PE has heard its whole round.
+  Job job = spawn_ranks(2, 2, [](int rank, int wfd) {
+    cx::trace::reset_wire_stats();
+    cxm::MachineConfig cfg;
+    auto m = cxm::make_machine(cfg);
+    const int npes = m->num_pes();
+    const auto remote = [&](int pe) { return !m->hosts_pe(pe); };
+    // next[dst][src]: the seq dst expects from src; each row is touched
+    // only by its PE's thread.
+    std::vector<std::vector<std::uint32_t>> next(
+        static_cast<std::size_t>(npes),
+        std::vector<std::uint32_t>(static_cast<std::size_t>(npes), 0));
+    std::atomic<std::uint64_t> bad{0}, received{0};
+    int done = 0;  // PE 0 only
+    std::uint32_t round = 0;  // PE 0 only
+    std::uint32_t h_data = 0, h_done = 0, h_kick = 0;
+    const auto kick_all = [&](std::uint32_t r) {
+      for (int pe = 0; pe < npes; ++pe) {
+        auto k = std::make_unique<cxm::Message>();
+        k->handler = h_kick;
+        k->dst_pe = pe;
+        k->data.resize_discard(sizeof(r));
+        std::memcpy(k->data.data(), &r, sizeof(r));
+        m->send(std::move(k));
+      }
+    };
+    h_data = m->register_handler([&](cxm::MessagePtr msg) {
+      const int me = m->current_pe();
+      StreamHead sh;
+      std::memcpy(&sh, msg->data.data(), sizeof(sh));
+      std::uint32_t* want = next[static_cast<std::size_t>(me)].data();
+      bool ok = sh.seq == want[sh.src] &&
+                msg->data.size() ==
+                    kRingSizes[(sh.seq % kStreamMsgs) % kNumRingSizes];
+      for (std::size_t i = sizeof(sh); ok && i < msg->data.size(); ++i) {
+        ok = msg->data.data()[i] == stream_byte(sh.src, me, sh.seq, i);
+      }
+      if (!ok) bad.fetch_add(1);
+      received.fetch_add(1);
+      want[sh.src] = sh.seq + 1;
+      if (want[sh.src] % kStreamMsgs != 0) return;
+      for (int src = 0; src < npes; ++src) {
+        if (remote(src) && want[src] != want[sh.src]) return;
+      }
+      auto d = std::make_unique<cxm::Message>();  // this round is done here
+      d->handler = h_done;
+      d->dst_pe = 0;
+      m->send(std::move(d));
+    });
+    h_done = m->register_handler([&](cxm::MessagePtr) {
+      if (++done < npes) return;
+      done = 0;
+      if (++round < kStreamRounds) {
+        kick_all(round);
+      } else {
+        m->stop();
+      }
+    });
+    h_kick = m->register_handler([&](cxm::MessagePtr k) {
+      std::uint32_t r = 0;
+      std::memcpy(&r, k->data.data(), sizeof(r));
+      const int me = m->current_pe();
+      // Build the round first and send it in one burst, so the two PEs
+      // of a rank send while the other is writing.
+      std::vector<cxm::MessagePtr> burst;
+      for (std::uint32_t i = 0; i < kStreamMsgs; ++i) {
+        const std::uint32_t seq = r * kStreamMsgs + i;
+        for (int dst = 0; dst < npes; ++dst) {
+          if (!remote(dst)) continue;
+          auto msg = std::make_unique<cxm::Message>();
+          msg->handler = h_data;
+          msg->dst_pe = dst;
+          msg->data.resize_discard(kRingSizes[i % kNumRingSizes]);
+          const StreamHead sh{me, seq};
+          std::memcpy(msg->data.data(), &sh, sizeof(sh));
+          for (std::size_t b = sizeof(sh); b < msg->data.size(); ++b) {
+            msg->data.data()[b] = stream_byte(me, dst, seq, b);
+          }
+          burst.push_back(std::move(msg));
+        }
+      }
+      if (rank == 1) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      for (cxm::MessagePtr& msg : burst) m->send(std::move(msg));
+    });
+    if (m->hosts_pe(0)) kick_all(0);
+    // Rank 1 starts reading late: rank 0's first round fills the socket.
+    if (rank == 1) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    m->run();
+    LinkReport rep = link_counters();
+    rep.bad = bad.load();
+    rep.received = received.load();
+    write_exact(wfd, &rep, sizeof(rep));
+  });
+
+  LinkReport sum;
+  for (int r = 0; r < 2; ++r) {
+    LinkReport rep;
+    ASSERT_TRUE(read_exact(job.out[r], &rep, sizeof(rep))) << "rank " << r;
+    EXPECT_EQ(rep.bad, 0u) << "rank " << r;
+    // Each of the rank's 2 PEs hears every round from 2 remote PEs.
+    EXPECT_EQ(rep.received, 4u * kStreamMsgs * kStreamRounds) << "rank " << r;
+    sum.pe_frames += rep.pe_frames;
+    sum.comm_frames += rep.comm_frames;
+  }
+  EXPECT_GT(sum.pe_frames, 0u);
+  EXPECT_GT(sum.comm_frames, 0u);
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+}
+
+TEST(SocketJob, IdlePingPongFramesAreAllWrittenByPes) {
+  // One PE per rank, one 8 B message in flight: every send leaves its PE
+  // with an empty mailbox and nothing queued for the peer, so each of
+  // the 2N data frames is written by its sender and the comm thread is
+  // never woken. Each rank reads its counters before Stop: rank 1 after
+  // its last echo, rank 0 when the last echo arrives.
+  constexpr std::uint64_t kRounds = 200;
+  Job job = spawn_ranks(2, 1, [&](int, int wfd) {
+    cx::trace::reset_wire_stats();
+    cxm::MachineConfig cfg;
+    auto m = cxm::make_machine(cfg);
+    std::uint64_t seen = 0;  // touched only by this rank's one PE
+    LinkReport rep;
+    std::uint32_t h = 0;
+    const auto ping = [&](int dst, std::uint64_t v) {
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = h;
+      msg->dst_pe = dst;
+      msg->data.resize_discard(sizeof(v));
+      std::memcpy(msg->data.data(), &v, sizeof(v));
+      m->send(std::move(msg));
+    };
+    h = m->register_handler([&](cxm::MessagePtr msg) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, msg->data.data(), sizeof(v));
+      if (v != seen) ++rep.bad;
+      ++seen;
+      if (m->current_pe() == 1) {
+        ping(0, v);
+        if (seen == kRounds) {
+          const std::uint64_t bad = rep.bad;
+          rep = link_counters();
+          rep.bad = bad;
+          rep.received = seen;
+        }
+      } else if (seen < kRounds) {
+        ping(1, seen);
+      } else {
+        const std::uint64_t bad = rep.bad;
+        rep = link_counters();
+        rep.bad = bad;
+        rep.received = seen;
+        m->stop();
+      }
+    });
+    const std::uint32_t kick = m->register_handler(
+        [&](cxm::MessagePtr) { ping(1, 0); });
+    if (m->hosts_pe(0)) {
+      auto k = std::make_unique<cxm::Message>();
+      k->handler = kick;
+      k->dst_pe = 0;
+      m->send(std::move(k));
+    }
+    m->run();
+    write_exact(wfd, &rep, sizeof(rep));
+  });
+
+  for (int r = 0; r < 2; ++r) {
+    LinkReport rep;
+    ASSERT_TRUE(read_exact(job.out[r], &rep, sizeof(rep))) << "rank " << r;
+    EXPECT_EQ(rep.bad, 0u) << "rank " << r;
+    EXPECT_EQ(rep.received, kRounds) << "rank " << r;
+    EXPECT_EQ(rep.pe_frames, kRounds) << "rank " << r;
+    EXPECT_EQ(rep.comm_frames, 0u) << "rank " << r;
+    EXPECT_EQ(rep.wake_pokes, 0u) << "rank " << r;
   }
   for (pid_t pid : job.pids) {
     const ExitStatus st = wait_child(pid);

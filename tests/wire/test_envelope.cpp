@@ -32,11 +32,18 @@ EntryHeader sample_header() {
 }
 
 /// The legacy wire layout: header packed first, raw body appended.
+/// Copied into one buffer of the final size rather than by insert():
+/// GCC 12 warns (-Warray-bounds) that the reallocating insert's
+/// memmove of the empty tail reads at offset 60 of the 60-byte header,
+/// a false positive that ASan runs of this test do not reproduce.
 template <typename H>
 std::vector<std::byte> legacy_bytes(const H& h,
                                     const std::vector<std::byte>& body) {
-  std::vector<std::byte> out = pup::to_bytes(const_cast<H&>(h));
-  out.insert(out.end(), body.begin(), body.end());
+  const std::vector<std::byte> head = pup::to_bytes(const_cast<H&>(h));
+  std::vector<std::byte> out(head.size() + body.size());
+  std::copy(head.begin(), head.end(), out.begin());
+  std::copy(body.begin(), body.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(head.size()));
   return out;
 }
 
