@@ -21,7 +21,9 @@ Runtime::Impl::Impl(RuntimeConfig c) : cfg(std::move(c)) {
   // ranks can never mint the same id (2^24 collections per rank).
   next_coll.store(static_cast<CollectionId>(machine->my_rank()) << 24,
                   std::memory_order_relaxed);
-  cx::trace::begin_run(P, machine->is_simulated());
+  const int per_rank = P / machine->num_ranks();
+  cx::trace::begin_run(P, machine->is_simulated(),
+                       machine->my_rank() * per_rank, per_rank);
   pes.reserve(static_cast<std::size_t>(P));
   for (int i = 0; i < P; ++i) pes.push_back(std::make_unique<PeState>());
   register_handlers();

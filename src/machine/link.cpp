@@ -1,5 +1,6 @@
 #include "machine/link.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <span>
@@ -25,6 +26,13 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// How long the comm thread keeps flushing after the PE loops exit —
 /// long enough for the Stop broadcast and tail acks to reach peers.
 constexpr double kDrainGrace = 3.0;
+/// How long an idle PE keeps offering the rest of its frame to a full
+/// ring before it leaves it to the comm thread. The peer's comm thread
+/// may not run until a PE sharing its core finishes an entry method (a
+/// 4 MiB rtt-xrank sink takes ~0.6 ms); at one poll budget the rest of
+/// most 4 MiB frames went to a comm thread competing with its own busy
+/// PE, and stream throughput swung by 30 % (EXPERIMENTS.md).
+constexpr double kRingStall = 1e-3;
 /// epoll tag of the wake pipe; a peer's tag is its rank.
 constexpr std::uint32_t kWakeTag = ~0u;
 
@@ -80,12 +88,18 @@ Link::Link(ThreadedMachine& m, const SocketParams& p)
   const std::vector<cxnet::Endpoint> table = cxnet::client_rendezvous(
       p.root_host, p.root_port, hs, cxnet::local_port(listener.get()));
   if (nranks_ > 1) {
-    std::vector<cxnet::Fd> fds = cxnet::mesh_wireup(hs, listener.get(), table);
+    std::vector<cxnet::ShmSegment> segs;
+    std::vector<cxnet::Fd> fds =
+        cxnet::mesh_wireup(hs, listener.get(), table, 30.0, &segs);
     for (int r = 0; r < nranks_; ++r) {
       if (r == rank_) continue;
-      cxnet::set_nonblocking(fds[static_cast<std::size_t>(r)].get());
-      peers_[static_cast<std::size_t>(r)].fd =
-          std::move(fds[static_cast<std::size_t>(r)]);
+      const auto i = static_cast<std::size_t>(r);
+      Peer& peer = peers_[i];
+      cxnet::set_nonblocking(fds[i].get());
+      peer.fd = std::move(fds[i]);
+      peer.shm = std::move(segs[i]);
+      peer.tx = peer.shm.tx();
+      peer.rx = peer.shm.rx();
     }
   }
 
@@ -142,15 +156,38 @@ void Link::ship(MessagePtr msg, bool idle) {
 
 void Link::write_direct(int rank, OutFrame frame) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
-  const ssize_t w = send_from(p.fd.get(), frame.head, frame.msg.get(), 0);
-  const int err = w < 0 ? errno : 0;
-  const bool whole =
-      w >= 0 && static_cast<std::size_t>(w) == frame_bytes(frame.head,
-                                                           frame.msg.get());
-  if (w > 0) count(g_wire.net_pe_bytes, static_cast<std::uint64_t>(w));
+  const std::size_t total = frame_bytes(frame.head, frame.msg.get());
+  ssize_t w = put(p, frame, 0);
+  std::size_t off = w > 0 ? static_cast<std::size_t>(w) : 0;
+  if (w >= 0 && off < total && p.tx && m_.poll_) {
+    // A full ring drains as fast as the peer's comm thread copies, so a
+    // PE that still has nothing else to run keeps writing, as a socket
+    // write would have handed the whole frame to the kernel; it stops
+    // when work arrives or the ring stalls for kRingStall.
+    const int pe = m_.current_pe();
+    double stall_until = -1.0;
+    while (off < total && m_.nothing_runnable(pe)) {
+      w = put(p, frame, off);
+      if (w < 0) break;
+      if (w > 0) {
+        off += static_cast<std::size_t>(w);
+        stall_until = -1.0;
+        continue;
+      }
+      const double now = cxu::wall_time();
+      if (stall_until < 0.0) {
+        stall_until = now + kRingStall;
+      } else if (now > stall_until) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  const bool whole = off == total;
+  if (off > 0) count(g_wire.net_pe_bytes, off);
   if (whole) {
     count(g_wire.net_pe_frames);
-  } else if (w >= 0 || err == EAGAIN || err == EWOULDBLOCK) {
+  } else if (w >= 0) {
     count(g_wire.net_partial_writes);
   }
   // Frames other PEs queued meanwhile, the rest of a short write, or a
@@ -161,13 +198,49 @@ void Link::write_direct(int rank, OutFrame frame) {
     std::lock_guard<std::mutex> lock(p.mu);
     p.writing = false;
     if (!whole) {
-      p.out_off = w > 0 ? static_cast<std::size_t>(w) : 0;
+      p.out_off = off;
       p.outq.push_front(std::move(frame));
     }
     wake = !p.outq.empty();
   }
   if (wake) wake_comm();
 }  // a frame written whole frees its Message here, on the PE
+
+ssize_t Link::put(Peer& p, const OutFrame& frame, std::size_t off) {
+  if (!p.tx) {
+    const ssize_t w = send_from(p.fd.get(), frame.head, frame.msg.get(), off);
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+    return w;
+  }
+  // The ring twin of send_from: the head's rest, then the payload's.
+  const std::span<const std::byte> head(frame.head);
+  const std::span<const std::byte> body =
+      frame.msg ? std::span<const std::byte>(frame.msg->data.data(),
+                                             frame.msg->data.size())
+                : std::span<const std::byte>();
+  const std::size_t hn = head.size();
+  const std::ptrdiff_t w =
+      p.tx.write(off < hn ? head.subspan(off) : head.subspan(hn),
+                 body.subspan(off > hn ? off - hn : 0));
+  if (w < 0) {
+    errno = EPROTO;
+    return -1;
+  }
+  if (w > 0 && p.tx.claim_sleeper()) ring_doorbell(p);
+  return w;
+}
+
+void Link::ring_doorbell(Peer& p) {
+  count(g_wire.net_doorbells);
+  const char b = 1;
+  ssize_t w;
+  do {
+    w = ::send(p.fd.get(), &b, 1, MSG_NOSIGNAL | MSG_DONTWAIT);
+  } while (w < 0 && errno == EINTR);
+  // A failed poke needs no handling: EAGAIN means unread pokes already
+  // wait for the consumer, and a broken connection reaches the comm
+  // thread as EOF.
+}
 
 void Link::broadcast(cxnet::ControlOp op, int pe) {
   for (int r = 0; r < nranks_; ++r) {
@@ -212,6 +285,7 @@ void Link::set_events(int rank, std::uint32_t events) {
 
 bool Link::flush_peer(int rank) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
+  p.tx_full = false;
   OutFrame* front = nullptr;
   {
     std::lock_guard<std::mutex> lock(p.mu);
@@ -225,23 +299,29 @@ bool Link::flush_peer(int rank) {
   // While this thread owns the write side no PE pushes to the front, so
   // `front` stays valid unlocked.
   while (front != nullptr) {
-    const ssize_t w = send_from(p.fd.get(), front->head, front->msg.get(),
-                                p.out_off);
-    if (w < 0) {
+    const ssize_t w = put(p, *front, p.out_off);
+    if (w <= 0) {
       const int err = errno;
       {
         std::lock_guard<std::mutex> lock(p.mu);
         p.writing = false;
       }
-      if (err == EAGAIN || err == EWOULDBLOCK) {
+      if (w == 0) {
+        // Full. wait_events watches a ring for room; a socket reports it
+        // through EPOLLOUT.
         count(g_wire.net_partial_writes);
-        if (!p.want_write) {
+        if (p.tx) {
+          p.tx_full = true;
+        } else if (!p.want_write) {
           count(g_wire.net_epollout_arms);
           set_events(rank, EPOLLIN | EPOLLOUT);
         }
         return true;
       }
-      peer_down(rank, std::string("send failed: ") + std::strerror(err));
+      if (err == EPROTO) count(g_wire.net_decode_errors);
+      peer_down(rank, std::string("send failed: ") +
+                          (err == EPROTO ? "ring head out of range"
+                                         : std::strerror(err)));
       return false;
     }
     count(g_wire.net_comm_bytes, static_cast<std::uint64_t>(w));
@@ -269,6 +349,23 @@ bool Link::flush_peer(int rank) {
 
 void Link::read_peer(int rank) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
+  if (p.rx) {
+    // A ring pair's connection carries only doorbells: drain them; the
+    // comm loop reads the ring and flushes the queue next.
+    char pokes[64];
+    for (;;) {
+      const ssize_t r = ::recv(p.fd.get(), pokes, sizeof(pokes), 0);
+      if (r > 0) continue;
+      if (r == 0) {
+        peer_closed(rank, "connection closed by peer");
+      } else if (errno == EINTR) {
+        continue;
+      } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        peer_closed(rank, std::string("recv failed: ") + std::strerror(errno));
+      }
+      return;
+    }
+  }
   std::byte chunk[kReadChunk];
   for (;;) {
     // Mid-payload, read straight into the frame's Message; otherwise
@@ -286,7 +383,7 @@ void Link::read_peer(int rank) {
       continue;
     }
     if (r == 0) {
-      peer_down(rank, "connection closed by peer");
+      peer_closed(rank, "connection closed by peer");
       return;
     }
     if (errno == EINTR) continue;
@@ -297,17 +394,72 @@ void Link::read_peer(int rank) {
   }
 }
 
+void Link::read_ring(int rank) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  // At most one ring's worth per call, so a streaming peer cannot starve
+  // the others; the comm loop comes back for the rest.
+  std::size_t budget = cxnet::kRingBytes;
+  while (p.rx && budget > 0) {
+    const std::ptrdiff_t avail = p.rx.available();
+    if (avail < 0) {
+      count(g_wire.net_decode_errors);
+      peer_down(rank, "protocol violation: ring tail out of range");
+      return;
+    }
+    if (avail == 0) return;
+    // Mid-payload, copy straight into the frame's Message; otherwise
+    // decode in place from the ring (small frames, or a large frame's
+    // head). Either way a read chunk at a time, released at once, so the
+    // producer refills what one chunk freed while the next is copied.
+    const std::span<std::byte> window = p.reader.payload_window();
+    std::size_t n = std::min(static_cast<std::size_t>(avail), budget);
+    bool ok;
+    if (!window.empty()) {
+      n = std::min({n, window.size(), kReadChunk});
+      p.rx.copy_out(window.data(), n);
+      p.reader.commit(n);
+      ok = drain_frames(rank, nullptr, 0);
+    } else {
+      const std::span<const std::byte> run =
+          p.rx.peek(std::min(n, kReadChunk));
+      n = run.size();
+      ok = drain_frames(rank, run.data(), n);
+    }
+    budget -= n;
+    if (!ok) return;  // peer_down emptied p.rx
+    if (p.rx.consume(n)) ring_doorbell(p);
+  }
+}
+
+bool Link::rings_ready() const {
+  for (const Peer& p : peers_) {
+    if (p.rx && p.rx.available() != 0) return true;
+    if (p.tx_full && p.tx.space() != 0) return true;
+  }
+  return false;
+}
+
+void Link::peer_closed(int rank, const std::string& why) {
+  // The peer wrote its ring before its connection ended: deliver what
+  // is there first, or a Stop or tail ack could be lost.
+  read_ring(rank);
+  peer_down(rank, why);
+}
+
 bool Link::drain_frames(int rank, const std::byte* p, std::size_t n) {
   cxnet::FrameReader& reader = peers_[static_cast<std::size_t>(rank)].reader;
   for (;;) {
     cxnet::Frame f;
     switch (reader.next(p, n, f)) {
       case cxnet::FrameReader::Status::Frame:
+        count(g_wire.net_rx_frames);
+        count(g_wire.net_rx_bytes, cxnet::kFrameHeadBytes + f.msg->data.size());
         handle_frame(rank, std::move(f));
         break;
       case cxnet::FrameReader::Status::NeedMore:
         return true;
       case cxnet::FrameReader::Status::Error:
+        count(g_wire.net_decode_errors);
         peer_down(rank, "protocol violation: " + reader.error());
         return false;
     }
@@ -358,6 +510,8 @@ void Link::peer_down(int rank, const std::string& why) {
     dropped.swap(p.outq);
   }
   p.reader = cxnet::FrameReader{};  // frees a partly received Message
+  p.rx = {};  // the segment stays mapped until the Link goes
+  p.tx_full = false;
   if (p.fd.valid()) {
     ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, p.fd.get(), nullptr);
     p.fd.reset();
@@ -389,6 +543,9 @@ void Link::comm_loop() {
       if (all_out_drained() || cxu::wall_time() > drain_deadline) break;
     }
     const int n = wait_events(events, 64, stopping ? 20 : 200);
+    // Rings first: a Stop that one rank wrote must be seen before
+    // another rank's EOF that followed it.
+    for (int r = 0; r < nranks_; ++r) read_ring(r);
     for (int i = 0; i < n; ++i) {
       if (events[i].data.u32 == kWakeTag) {
         char drain[256];
@@ -402,7 +559,7 @@ void Link::comm_loop() {
       }
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
           (events[i].events & EPOLLIN) == 0) {
-        peer_down(rank, "socket error/hangup");
+        peer_closed(rank, "socket error/hangup");
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0) {
@@ -419,6 +576,10 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
     // wait, so a frame or a wake that comes soon costs no wake-up.
     const double until = cxu::wall_time() + ThreadedMachine::kPollBudget;
     do {
+      if (rings_ready()) {
+        count(g_wire.net_poll_hits);
+        return 0;
+      }
       const int n = ::epoll_wait(epoll_.get(), events, cap, 0);
       if (n > 0) {
         count(g_wire.net_poll_hits);
@@ -427,8 +588,22 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
       std::this_thread::yield();
     } while (cxu::wall_time() < until);
   }
-  count(g_wire.net_blocking_waits);
-  return ::epoll_wait(epoll_.get(), events, cap, timeout_ms);
+  // Ring peers poke only a side that asked for it: mark every inbound
+  // ring sleeping and ask every full outbound ring for space, then look
+  // at them once more before blocking.
+  for (Peer& p : peers_) {
+    if (p.rx) p.rx.set_sleeping(true);
+    if (p.tx_full) p.tx.want_space();
+  }
+  int n = 0;
+  if (!rings_ready()) {
+    count(g_wire.net_blocking_waits);
+    n = ::epoll_wait(epoll_.get(), events, cap, timeout_ms);
+  }
+  for (Peer& p : peers_) {
+    if (p.rx) p.rx.set_sleeping(false);
+  }
+  return n;
 }
 
 }  // namespace cxm

@@ -103,9 +103,7 @@ void ThreadedMachine::deliver(MessagePtr msg) {
   // A PE whose mailbox holds nothing runnable may write the frame itself
   // instead of handing it to the comm thread (Link::ship).
   const int src = t_current_pe;
-  const bool idle =
-      src >= 0 && is_local(src) &&
-      mailboxes_[lidx(src)]->ready.load(std::memory_order_relaxed) == 0;
+  const bool idle = src >= 0 && is_local(src) && nothing_runnable(src);
   link_->ship(std::move(msg), idle);
 }
 

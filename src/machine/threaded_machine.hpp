@@ -123,6 +123,11 @@ class ThreadedMachine final : public PipelineMachine {
   /// Hand `msg` to its local mailbox or to the Link, telling the Link
   /// whether the sending PE has nothing else to run.
   void deliver(MessagePtr msg);
+  /// True when local `pe`'s mailbox holds nothing runnable (read
+  /// without its lock; `pe` must be the calling PE).
+  [[nodiscard]] bool nothing_runnable(int pe) const {
+    return mailboxes_[lidx(pe)]->ready.load(std::memory_order_relaxed) == 0;
+  }
   void retransmit_due(int pe, PeSlot& me);
   void arm_retry(int pe, const cx::ft::PendingSend& p) override;
   /// Broadcast a kill, hang or revive to the other ranks first; the

@@ -162,6 +162,7 @@ void encode_handshake(const Handshake& h, std::byte out[kHandshakeBytes]) {
   put<std::uint32_t>(out, 16, h.rank);
   put<std::uint32_t>(out, 20, h.nranks);
   put<std::uint32_t>(out, 24, h.ppn);
+  put<std::uint64_t>(out, 28, h.shm_offer);
 }
 
 Handshake decode_handshake(const std::byte in[kHandshakeBytes]) {
@@ -177,6 +178,7 @@ Handshake decode_handshake(const std::byte in[kHandshakeBytes]) {
   h.rank = get<std::uint32_t>(in, 16);
   h.nranks = get<std::uint32_t>(in, 20);
   h.ppn = get<std::uint32_t>(in, 24);
+  h.shm_offer = get<std::uint64_t>(in, 28);
   return h;
 }
 

@@ -128,13 +128,15 @@ class FrameReader {
 // ---- handshake -----------------------------------------------------------
 
 inline constexpr std::uint32_t kHandshakeMagic = 0x4d535843;  // "CXSM"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::uint32_t kEndianProbe = 0x01020304;
-inline constexpr std::size_t kHandshakeBytes = 28;
+inline constexpr std::size_t kHandshakeBytes = 36;
 
 /// First bytes on every connection (rendezvous and mesh). Native-endian
 /// like the frames; the probe field is how a foreign byte order is
-/// detected (it reads back as 0x04030201 there).
+/// detected (it reads back as 0x04030201 there). `shm_offer` names the
+/// shared-memory segment (net/shm_ring.hpp) a mesh connection offers or
+/// accepts; 0 means none, and the pair then frames over TCP.
 struct Handshake {
   std::uint32_t magic = kHandshakeMagic;
   std::uint16_t version = kWireVersion;
@@ -147,6 +149,7 @@ struct Handshake {
   std::uint32_t rank = 0;
   std::uint32_t nranks = 1;
   std::uint32_t ppn = 1;
+  std::uint64_t shm_offer = 0;
 };
 
 void encode_handshake(const Handshake& h, std::byte out[kHandshakeBytes]);

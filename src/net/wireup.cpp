@@ -102,19 +102,29 @@ std::vector<Endpoint> client_rendezvous(const std::string& root_host,
 
 std::vector<Fd> mesh_wireup(const Handshake& mine, int data_listen_fd,
                             const std::vector<Endpoint>& table,
-                            double timeout_s) {
+                            double timeout_s,
+                            std::vector<ShmSegment>* shm) {
   const std::uint32_t nranks = mine.nranks;
   std::vector<Fd> peers(nranks);
   std::byte buf[kHandshakeBytes];
+  if (shm != nullptr) {
+    shm->clear();
+    shm->resize(nranks);
+  }
 
   // Outbound: connect to every lower rank, handshake first.
   for (std::uint32_t r = 0; r < mine.rank; ++r) {
     Fd fd = tcp_connect(ip_str(table[r].ip), table[r].port, timeout_s);
     set_timeout(fd.get(), timeout_s);
     set_nodelay(fd.get());
-    encode_handshake(mine, buf);
+    Handshake hello = mine;
+    ShmSegment seg = shm != nullptr ? ShmSegment::create(mine.rank, r)
+                                    : ShmSegment{};
+    hello.shm_offer = seg.offer();
+    encode_handshake(hello, buf);
     send_all(fd.get(), buf, sizeof(buf));
     recv_all(fd.get(), buf, sizeof(buf));
+    seg.unlink();  // the peer has mapped it or never will
     const Handshake h = decode_handshake(buf);
     const std::string err = handshake_check(mine, h);
     if (!err.empty()) {
@@ -126,6 +136,7 @@ std::vector<Fd> mesh_wireup(const Handshake& mine, int data_listen_fd,
                                std::to_string(r) + " but peer claims rank " +
                                std::to_string(h.rank));
     }
+    if (seg && h.shm_offer == seg.offer()) (*shm)[r] = std::move(seg);
     peers[r] = std::move(fd);
   }
 
@@ -148,8 +159,14 @@ std::vector<Fd> mesh_wireup(const Handshake& mine, int data_listen_fd,
                                std::to_string(h.rank) + " (from " + peer_ip +
                                ")");
     }
-    encode_handshake(mine, buf);
+    Handshake reply = mine;
+    ShmSegment seg = shm != nullptr && h.shm_offer != 0
+                         ? ShmSegment::open(h.shm_offer, mine.rank, h.rank)
+                         : ShmSegment{};
+    reply.shm_offer = seg.offer();
+    encode_handshake(reply, buf);
     send_all(fd.get(), buf, sizeof(buf));
+    if (seg) (*shm)[h.rank] = std::move(seg);
     peers[h.rank] = std::move(fd);
   }
   return peers;

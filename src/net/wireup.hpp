@@ -17,6 +17,11 @@
 //      which identifies the connecting rank — then replying with its
 //      own). Sequential accept is safe: the kernel backlog holds
 //      early connectors.
+//   4. When asked to, the connecting rank of each pair also creates a
+//      shared-memory segment (net/shm_ring.hpp) and offers it in its
+//      handshake; the accepting rank maps it and echoes the offer, or
+//      answers 0. Both unlink it before the handshake completes. A pair
+//      whose offer was not echoed frames over TCP.
 
 #include <cstdint>
 #include <functional>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/shm_ring.hpp"
 #include "net/socket_util.hpp"
 
 namespace cxnet {
@@ -54,9 +60,11 @@ std::vector<Endpoint> client_rendezvous(const std::string& root_host,
 /// Step 3: build the mesh. Returns nranks fds (self entry invalid),
 /// each having completed a validated handshake exchange. The fds are
 /// still blocking; the caller flips them nonblocking for the epoll
-/// loop.
+/// loop. With `shm` set, every pair also tries step 4 and (*shm)[r]
+/// holds the segment shared with rank r, or stays empty.
 std::vector<Fd> mesh_wireup(const Handshake& mine, int data_listen_fd,
                             const std::vector<Endpoint>& table,
-                            double timeout_s = 30.0);
+                            double timeout_s = 30.0,
+                            std::vector<ShmSegment>* shm = nullptr);
 
 }  // namespace cxnet

@@ -184,6 +184,10 @@ WireStats wire_stats() noexcept {
   s.net_wake_pokes = w.net_wake_pokes.load(std::memory_order_relaxed);
   s.net_poll_hits = w.net_poll_hits.load(std::memory_order_relaxed);
   s.net_blocking_waits = w.net_blocking_waits.load(std::memory_order_relaxed);
+  s.net_rx_frames = w.net_rx_frames.load(std::memory_order_relaxed);
+  s.net_rx_bytes = w.net_rx_bytes.load(std::memory_order_relaxed);
+  s.net_decode_errors = w.net_decode_errors.load(std::memory_order_relaxed);
+  s.net_doorbells = w.net_doorbells.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -218,6 +222,10 @@ void reset_wire_stats() noexcept {
   w.net_wake_pokes.store(0, std::memory_order_relaxed);
   w.net_poll_hits.store(0, std::memory_order_relaxed);
   w.net_blocking_waits.store(0, std::memory_order_relaxed);
+  w.net_rx_frames.store(0, std::memory_order_relaxed);
+  w.net_rx_bytes.store(0, std::memory_order_relaxed);
+  w.net_decode_errors.store(0, std::memory_order_relaxed);
+  w.net_doorbells.store(0, std::memory_order_relaxed);
 }
 
 SectionStats section_stats() noexcept {
@@ -265,6 +273,8 @@ struct State {
   Config cfg;
   std::vector<std::unique_ptr<PeTrace>> pes;
   bool simulated = false;
+  int first_local = 0;  ///< PEs [first_local, end_local) run in this process
+  int end_local = 0;
   std::mutex mutex;  ///< guards configure/begin_run, not the hot path
 };
 
@@ -556,11 +566,13 @@ void configure_from_options(const cxu::Options& opt) {
 
 const Config& config() noexcept { return state().cfg; }
 
-void begin_run(int num_pes, bool simulated) {
+void begin_run(int num_pes, bool simulated, int first_local, int num_local) {
   auto& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
   s.pes.clear();
   s.simulated = simulated;
+  s.first_local = num_local < 0 ? 0 : first_local;
+  s.end_local = num_local < 0 ? num_pes : first_local + num_local;
   // One task-counter slot per PE plus the shared one; no PE thread runs
   // while a Runtime is being brought up.
   detail::g_num_task_shards = static_cast<std::size_t>(num_pes) + 1;
@@ -656,12 +668,21 @@ Counters aggregate() {
 
 std::string summary_table() {
   const int P = traced_pes();
+  const State& st = state();
+  const int local = std::min(st.end_local, P) - st.first_local;
   // Per-PE wall span (first to last event) for the idle percentage.
   std::ostringstream os;
   os << "cx::trace summary — " << (traced_run_was_simulated()
                                        ? "virtual (simulated) time"
                                        : "wall time")
-     << ", " << P << " PE(s), " << total_events() << " events\n\n";
+     << ", " << P << " PE(s), " << total_events() << " events";
+  if (local < P) {
+    os << "; PE" << (local > 1 ? "s " : " ") << st.first_local;
+    if (local > 1) os << ".." << st.first_local + local - 1;
+    os << (local > 1 ? " run" : " runs")
+       << " in this process, the rest in other ranks";
+  }
+  os << "\n\n";
   cxu::Table table({"pe", "msgs sent", "bytes sent", "msgs recv", "entries",
                     "entry s", "idle s", "idle %", "dropped"});
   auto row = [&](const std::string& label, const Counters& c, double span) {
@@ -675,6 +696,11 @@ std::string summary_table() {
   };
   double total_span = 0.0;
   for (int pe = 0; pe < P; ++pe) {
+    if (pe < st.first_local || pe >= st.first_local + local) {
+      table.add_row({std::to_string(pe), "not traced on this rank", "-", "-",
+                     "-", "-", "-", "-", "-"});
+      continue;
+    }
     const PeTrace& pt = *state().pes[static_cast<std::size_t>(pe)];
     const double span =
         pt.head.load(std::memory_order_acquire) > 0 ? pt.t_last - pt.t_first
@@ -682,7 +708,7 @@ std::string summary_table() {
     total_span = std::max(total_span, span);
     row(std::to_string(pe), counters(pe), span);
   }
-  row("total", aggregate(), total_span * P);
+  row("total", aggregate(), total_span * local);
   os << table.to_string();
   // Entry-method time histogram (log2 microsecond buckets).
   const Counters total = aggregate();
@@ -725,14 +751,16 @@ std::string summary_table() {
        << w.agg_flush_count << " count / " << w.agg_flush_idle << " idle / "
        << w.agg_flush_order << " ordering\n";
   }
-  if (w.net_pe_frames + w.net_comm_frames > 0) {
+  if (w.net_pe_frames + w.net_comm_frames + w.net_rx_frames > 0) {
     os << "cx::net: " << w.net_pe_frames << " frames written by PEs ("
        << human_bytes(w.net_pe_bytes) << "), " << w.net_comm_frames
        << " by the comm thread (" << human_bytes(w.net_comm_bytes) << "), "
-       << w.net_partial_writes << " short writes, " << w.net_epollout_arms
-       << " EPOLLOUT arms, " << w.net_wake_pokes << " wake pokes, "
+       << w.net_rx_frames << " received (" << human_bytes(w.net_rx_bytes)
+       << "), " << w.net_partial_writes << " short writes, "
+       << w.net_epollout_arms << " EPOLLOUT arms, " << w.net_wake_pokes
+       << " wake pokes, " << w.net_doorbells << " doorbells, "
        << w.net_poll_hits << " comm polls hit, " << w.net_blocking_waits
-       << " blocking waits\n";
+       << " blocking waits, " << w.net_decode_errors << " decode errors\n";
   }
   const SectionStats ss = section_stats();
   if (ss.sections_built + ss.mcasts + ss.contributions > 0) {
@@ -837,7 +865,11 @@ void write_json(std::ostream& os) {
      << ",\"net_epollout_arms\":" << w.net_epollout_arms
      << ",\"net_wake_pokes\":" << w.net_wake_pokes
      << ",\"net_poll_hits\":" << w.net_poll_hits
-     << ",\"net_blocking_waits\":" << w.net_blocking_waits << "}";
+     << ",\"net_blocking_waits\":" << w.net_blocking_waits
+     << ",\"net_rx_frames\":" << w.net_rx_frames
+     << ",\"net_rx_bytes\":" << w.net_rx_bytes
+     << ",\"net_decode_errors\":" << w.net_decode_errors
+     << ",\"net_doorbells\":" << w.net_doorbells << "}";
   const SectionStats sect = section_stats();
   os << ",\"sections\":{\"sections_built\":" << sect.sections_built
      << ",\"tree_repairs\":" << sect.tree_repairs

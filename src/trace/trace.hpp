@@ -210,6 +210,11 @@ struct WireStats {
   std::uint64_t net_wake_pokes = 0;      ///< writes to the comm thread's pipe
   std::uint64_t net_poll_hits = 0;       ///< comm-thread polls that caught an event
   std::uint64_t net_blocking_waits = 0;  ///< comm-thread blocking epoll_waits
+  // Inbound, through a socket or a shared-memory ring alike.
+  std::uint64_t net_rx_frames = 0;      ///< frames received and decoded
+  std::uint64_t net_rx_bytes = 0;       ///< their bytes, heads included
+  std::uint64_t net_decode_errors = 0;  ///< bad frames or ring indices
+  std::uint64_t net_doorbells = 0;      ///< poke bytes sent on ring pairs
 
   /// Mean messages per sealed batch (0 when no batches were sealed).
   [[nodiscard]] double msgs_per_batch() const noexcept {
@@ -428,6 +433,10 @@ struct WireAtomics {
   std::atomic<std::uint64_t> net_wake_pokes{0};
   std::atomic<std::uint64_t> net_poll_hits{0};
   std::atomic<std::uint64_t> net_blocking_waits{0};
+  std::atomic<std::uint64_t> net_rx_frames{0};
+  std::atomic<std::uint64_t> net_rx_bytes{0};
+  std::atomic<std::uint64_t> net_decode_errors{0};
+  std::atomic<std::uint64_t> net_doorbells{0};
 };
 extern WireAtomics g_wire;
 }  // namespace detail
@@ -528,8 +537,11 @@ extern std::atomic<bool> g_enabled;
 
 /// Called by the Runtime when a machine is brought up: sizes one ring per
 /// PE and resets counters. A fresh Runtime replaces the previous run's
-/// trace data.
-void begin_run(int num_pes, bool simulated);
+/// trace data. PEs [first_local, first_local + num_local) run in this
+/// process (num_local < 0: all of them); under cxrun the others belong
+/// to other ranks and are not traced here.
+void begin_run(int num_pes, bool simulated, int first_local = 0,
+               int num_local = -1);
 
 /// Record one event on `pe` at backend time `t`. No-op (after the enabled
 /// check the macros already make) for pe < 0 — bootstrap sends from the

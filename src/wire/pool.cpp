@@ -23,9 +23,12 @@ constexpr int kNumClasses = 13;  // 256 .. 1 MiB, powers of two
 constexpr std::size_t kBatch = 16;
 
 /// Per-thread cache cap for one class: bounded by count and by bytes
-/// (~4 MiB per class) so idle threads don't pin large blocks.
+/// (~512 KiB per class, at least 4 blocks) so a thread that frees more
+/// blocks of a large class than it allocates (a cxrun PE freeing the
+/// replies its comm thread read) spills them to the shared list instead
+/// of pinning them.
 constexpr std::size_t tls_cap(std::size_t block_size) {
-  const std::size_t by_bytes = (std::size_t{4} << 20) / block_size;
+  const std::size_t by_bytes = (std::size_t{512} << 10) / block_size;
   return by_bytes < 4 ? 4 : (by_bytes > 64 ? 64 : by_bytes);
 }
 

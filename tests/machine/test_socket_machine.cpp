@@ -5,7 +5,9 @@
 // what cxrun does) produce results byte-identical to the threaded
 // backend without copying payloads on send. Frames stay in order when
 // idle PEs write their own and the comm thread writes the rest, and an
-// idle closed loop never wakes the comm thread. The kill -9 test checks the
+// idle closed loop never wakes the comm thread. Same-host ranks frame
+// through shared-memory rings (the doorbell counter shows it), and a
+// peer that corrupts its ring's tail is dropped. The kill -9 test checks the
 // full failure pipeline: SIGKILL -> connection EOF -> peer_down ->
 // crashed + failure listener -> coordinator notice round ->
 // cx::ft::on_failure on the surviving rank; a peer hanging up
@@ -15,16 +17,19 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <random>
 #include <span>
@@ -36,6 +41,7 @@
 #include "ft/ft.hpp"
 #include "machine/machine.hpp"
 #include "net/frame.hpp"
+#include "net/shm_ring.hpp"
 #include "net/socket_util.hpp"
 #include "net/wireup.hpp"
 #include "trace/trace.hpp"
@@ -292,6 +298,7 @@ TEST(SocketHandshake, EncodeDecodeRoundTrip) {
   h.rank = 3;
   h.nranks = 8;
   h.ppn = 2;
+  h.shm_offer = 0x0000123489abcdefull;
   std::byte buf[cxnet::kHandshakeBytes];
   cxnet::encode_handshake(h, buf);
   const cxnet::Handshake d = cxnet::decode_handshake(buf);
@@ -301,6 +308,7 @@ TEST(SocketHandshake, EncodeDecodeRoundTrip) {
   EXPECT_EQ(d.rank, 3u);
   EXPECT_EQ(d.nranks, 8u);
   EXPECT_EQ(d.ppn, 2u);
+  EXPECT_EQ(d.shm_offer, 0x0000123489abcdefull);
   EXPECT_EQ(d.size_t_width, sizeof(std::size_t));
   EXPECT_EQ(d.double_width, sizeof(double));
 }
@@ -435,6 +443,25 @@ ExitStatus wait_child(pid_t pid) {
   if (WIFSIGNALED(st)) return {true, WTERMSIG(st)};
   if (WIFEXITED(st)) return {false, WEXITSTATUS(st)};
   return {};
+}
+
+/// Ring segments (net/shm_ring.hpp, "/dev/shm/charmx-<pid>-<nonce>")
+/// whose creating process is gone: a segment that outlived its job.
+/// Live jobs running beside this test may hold a segment for the moment
+/// of their wireup; those are not counted.
+std::vector<std::string> orphaned_segments() {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator("/dev/shm", ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("charmx-", 0) != 0) continue;
+    const long pid = std::strtol(name.c_str() + 7, nullptr, 10);
+    if (pid <= 0 || (::kill(static_cast<pid_t>(pid), 0) != 0 &&
+                     errno == ESRCH)) {
+      out.push_back(name);
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -811,6 +838,143 @@ TEST(SocketJob, IdlePingPongFramesAreAllWrittenByPes) {
 }
 
 // ---------------------------------------------------------------------------
+// Same-host ranks frame through shared-memory rings, and a pair without a
+// segment frames over TCP. The doorbell tells them apart: a ring write
+// that finds the peer's comm thread blocked pokes it, and the TCP path
+// never rings one. Rank 0 pauses before every ping, long enough for rank
+// 1's comm thread to finish polling and block, so on a ring its ping
+// must ring the doorbell.
+
+/// Make this process unable to reserve a ring segment: a file size
+/// limit below a segment's makes posix_fallocate fail with EFBIG (and
+/// raise SIGXFSZ, ignored here), so the rank offers none.
+void forbid_segments() {
+  ::signal(SIGXFSZ, SIG_IGN);
+  const rlimit small{64u << 10, 64u << 10};
+  if (::setrlimit(RLIMIT_FSIZE, &small) != 0) ::_exit(8);
+}
+
+/// What one rank of the paused-ping job reports.
+struct RingPathReport {
+  std::uint64_t bad = 0;
+  std::uint64_t doorbells = 0;
+  std::uint64_t rx_frames = 0;
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t decode_errors = 0;
+};
+
+constexpr std::uint64_t kPings = 5;
+
+/// 2 ranks x 1 PE: rank 0 pauses 20 ms before each of kPings 8 B pings,
+/// rank 1 echoes each. Every rank's report, read before Stop.
+std::vector<RingPathReport> paused_pings(bool with_segments) {
+  Job job = spawn_ranks(2, 1, [&](int, int wfd) {
+    if (!with_segments) forbid_segments();
+    cx::trace::reset_wire_stats();
+    cxm::MachineConfig cfg;
+    auto m = cxm::make_machine(cfg);
+    std::uint64_t seen = 0;
+    RingPathReport rep;
+    std::uint32_t h = 0;
+    const auto send8 = [&](int dst, std::uint64_t v) {
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = h;
+      msg->dst_pe = dst;
+      msg->data.resize_discard(sizeof(v));
+      std::memcpy(msg->data.data(), &v, sizeof(v));
+      m->send(std::move(msg));
+    };
+    const auto snapshot = [&] {
+      const cx::trace::WireStats w = cx::trace::wire_stats();
+      rep.doorbells = w.net_doorbells;
+      rep.rx_frames = w.net_rx_frames;
+      rep.rx_bytes = w.net_rx_bytes;
+      rep.decode_errors = w.net_decode_errors;
+    };
+    const auto pause_then_ping = [&](std::uint64_t v) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      send8(1, v);
+    };
+    h = m->register_handler([&](cxm::MessagePtr msg) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, msg->data.data(), sizeof(v));
+      if (v != seen) ++rep.bad;
+      ++seen;
+      if (m->current_pe() == 1) {
+        send8(0, v);
+        if (seen == kPings) snapshot();
+      } else if (seen < kPings) {
+        pause_then_ping(seen);
+      } else {
+        snapshot();
+        m->stop();
+      }
+    });
+    const std::uint32_t kick = m->register_handler(
+        [&](cxm::MessagePtr) { pause_then_ping(0); });
+    if (m->hosts_pe(0)) {
+      auto k = std::make_unique<cxm::Message>();
+      k->handler = kick;
+      k->dst_pe = 0;
+      m->send(std::move(k));
+    }
+    m->run();
+    write_exact(wfd, &rep, sizeof(rep));
+  });
+
+  std::vector<RingPathReport> reps(2);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(read_exact(job.out[r], &reps[r], sizeof(reps[r])))
+        << "rank " << r;
+    EXPECT_EQ(reps[r].bad, 0u) << "rank " << r;
+    // Each side received its kPings 8 B data frames whole.
+    EXPECT_EQ(reps[r].rx_frames, kPings) << "rank " << r;
+    EXPECT_EQ(reps[r].rx_bytes, kPings * (cxnet::kFrameHeadBytes + 8))
+        << "rank " << r;
+    EXPECT_EQ(reps[r].decode_errors, 0u) << "rank " << r;
+  }
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+  return reps;
+}
+
+TEST(SocketJob, SameHostFramesTakeTheRing) {
+  const std::vector<RingPathReport> reps = paused_pings(true);
+  EXPECT_GE(reps[0].doorbells, 1u) << "no ping went through a ring";
+}
+
+TEST(SocketJob, PairWithoutSegmentFallsBackToTcp) {
+  const std::vector<RingPathReport> reps = paused_pings(false);
+  EXPECT_EQ(reps[0].doorbells + reps[1].doorbells, 0u)
+      << "a pair without a segment rang a doorbell";
+
+  // Frames of every size, and the writes a full socket cuts short, keep
+  // their bytes and order on the TCP fallback too.
+  cxm::MachineConfig ref;
+  ref.num_pes = 4;
+  ref.backend = cxm::Backend::Threaded;
+  const std::uint64_t expected = run_ring(*cxm::make_machine(ref), kRingHops);
+  Job job = spawn_ranks(2, 2, [](int, int wfd) {
+    forbid_segments();
+    cxm::MachineConfig cfg;
+    const std::uint64_t digest = run_ring(*cxm::make_machine(cfg), kRingHops);
+    write_exact(wfd, &digest, sizeof(digest));
+  });
+  std::uint64_t digest = 0;
+  ASSERT_TRUE(read_exact(job.out[0], &digest, sizeof(digest)));
+  EXPECT_EQ(digest, expected);
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+  EXPECT_TRUE(orphaned_segments().empty());
+}
+
+// ---------------------------------------------------------------------------
 // A peer that hangs up mid-payload. Rank 0 is a real socket-job machine
 // in this process; rank 1 is the test itself, wiring up by hand and then
 // closing the connection a quarter of the way into a 4 MiB data frame.
@@ -887,6 +1051,115 @@ TEST(SocketJob, EofMidPayloadDropsPeerAndFreesMessage) {
 }
 
 // ---------------------------------------------------------------------------
+// A peer that corrupts its ring's tail. Rank 0 is a real socket-job
+// machine in this process; rank 1 is the test, wiring up by hand with a
+// shared-memory offer, so it holds the producer end of the ring rank 0
+// reads. After one good frame and the start of a large one it sets the
+// tail behind the head, or more than a ring ahead of it: rank 0 must
+// declare rank 1 down without delivering anything more or reading
+// outside the ring (in-process, so ASan sees every access).
+
+TEST(SocketJob, HostileRingIndexDropsPeer) {
+  for (const bool behind : {false, true}) {
+    SCOPED_TRACE(behind ? "tail behind head" : "tail beyond the ring");
+    cxnet::Fd root = cxnet::tcp_listen(0);
+    const std::uint16_t root_port = cxnet::local_port(root.get());
+    std::thread root_thread([&] {
+      try {
+        cxnet::run_root_exchange(root.get(), 2, 1);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "root exchange: " << e.what();
+      }
+    });
+    std::unique_ptr<cxm::Machine> m;
+    std::thread rank0([&] {
+      cxm::MachineConfig cfg;
+      cfg.backend = cxm::Backend::Socket;
+      cfg.socket.rank = 0;
+      cfg.socket.nranks = 2;
+      cfg.socket.ppn = 1;
+      cfg.socket.root_port = root_port;
+      try {
+        m = cxm::make_machine(cfg);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "rank 0 wireup: " << e.what();
+      }
+    });
+    cxnet::Handshake hs;
+    hs.rank = 1;
+    hs.nranks = 2;
+    hs.ppn = 1;
+    cxnet::Fd data = cxnet::tcp_listen(0);
+    const std::vector<cxnet::Endpoint> table = cxnet::client_rendezvous(
+        "127.0.0.1", root_port, hs, cxnet::local_port(data.get()));
+    std::vector<cxnet::ShmSegment> shm;
+    std::vector<cxnet::Fd> mesh =
+        cxnet::mesh_wireup(hs, data.get(), table, 30.0, &shm);
+    root_thread.join();
+    rank0.join();
+    ASSERT_NE(m, nullptr);
+    ASSERT_TRUE(shm[0]) << "rank 0 did not map the offered segment";
+    EXPECT_TRUE(orphaned_segments().empty());
+
+    std::atomic<int> delivered{0};
+    (void)m->register_handler([&](cxm::MessagePtr) { delivered.fetch_add(1); });
+    std::atomic<int> failed_pe{-1};
+    m->set_failure_listener([&](const cx::ft::PeFailure& f) {
+      failed_pe.store(f.pe);
+      m->stop();
+    });
+    cx::trace::reset_wire_stats();
+    std::thread runner([&] { m->run(); });
+
+    cxnet::RingTx tx = shm[0].tx();
+    const auto poke = [&] {
+      const char b = 1;
+      cxnet::send_all(mesh[0].get(), &b, 1);
+    };
+    const auto until = [](const std::function<bool()>& done) {
+      const auto t0 = std::chrono::steady_clock::now();
+      while (!done() &&
+             std::chrono::steady_clock::now() - t0 < std::chrono::seconds(20)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return done();
+    };
+    // One good frame, then the head and first bytes of a 1 MiB one, so
+    // rank 0 has a payload open when the tail goes bad: a reader that
+    // trusted the tail would fill it from the ring and deliver it.
+    cxm::Message good = patterned(0, 100);
+    good.dst_pe = 0;
+    cxm::Message big = patterned(0, 1u << 20);
+    big.dst_pe = 0;
+    std::vector<std::byte> bytes = wire_bytes(good);
+    const std::vector<std::byte> big_bytes = wire_bytes(big);
+    bytes.insert(bytes.end(), big_bytes.begin(), big_bytes.begin() + 1000);
+    ASSERT_EQ(tx.write(bytes, {}), static_cast<std::ptrdiff_t>(bytes.size()));
+    poke();
+    EXPECT_TRUE(until([&] {
+      return delivered.load() == 1 &&
+             std::atomic_ref<std::uint64_t>(tx.ctl()->head).load() ==
+                 bytes.size();
+    }));
+    const std::uint64_t head = bytes.size();
+    std::atomic_ref<std::uint64_t>(tx.ctl()->tail)
+        .store(behind ? head - 1 : head + cxnet::kRingBytes + 1);
+    poke();
+    const bool declared = until([&] { return failed_pe.load() >= 0; });
+    if (!declared) m->stop();
+    runner.join();
+
+    EXPECT_TRUE(declared);
+    EXPECT_EQ(failed_pe.load(), 1);
+    EXPECT_EQ(delivered.load(), 1);
+    const cx::trace::WireStats w = cx::trace::wire_stats();
+    EXPECT_EQ(w.net_rx_frames, 1u);
+    EXPECT_EQ(w.net_decode_errors, 1u);
+    m.reset();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // cxrun: a rank whose exec fails never checks in. cxrun must notice the
 // dead child while it waits for the rendezvous, not after the 30 s
 // accept timeout.
@@ -943,6 +1216,8 @@ TEST(Cxrun, RankDeathAfterWireupEndsJobPromptly) {
   EXPECT_TRUE(WIFEXITED(st));
   EXPECT_NE(WEXITSTATUS(st), 0);
   EXPECT_LT(secs, 5.0);
+  // The ranks' ring segments were unlinked at wireup: none outlives them.
+  EXPECT_TRUE(orphaned_segments().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1047,6 +1322,8 @@ TEST(SocketJob, Kill9WorkerDeclaredThroughFtPipeline) {
   const ExitStatus victim = wait_child(job.pids[kVictimRank]);
   EXPECT_TRUE(victim.signaled);
   EXPECT_EQ(victim.code, SIGKILL);
+  // Its ring segments were unlinked at wireup, so the kill left none.
+  EXPECT_TRUE(orphaned_segments().empty());
   for (int r = 0; r < 3; ++r) {
     if (r == kVictimRank) continue;
     const ExitStatus st = wait_child(job.pids[r]);

@@ -185,6 +185,26 @@ TEST(Trace, RingOverwritesOldestAndCountsDrops) {
   }
 }
 
+TEST(Trace, SummaryMarksPesOfOtherRanks) {
+  // Rank 1 of a 2 x 2 cxrun job: PEs 2 and 3 run here, 0 and 1 in the
+  // other rank, whose events this process never sees.
+  TraceOn on;
+  trace::begin_run(4, /*simulated=*/false, /*first_local=*/2,
+                   /*num_local=*/2);
+  trace::record(2, 0.0, trace::EventKind::MsgSend, 1, 64);
+  const std::string summary = trace::summary_table();
+  EXPECT_NE(summary.find("PEs 2..3 run in this process"), std::string::npos)
+      << summary;
+  std::size_t marks = 0;
+  for (std::size_t at = summary.find("not traced on this rank");
+       at != std::string::npos;
+       at = summary.find("not traced on this rank", at + 1)) {
+    ++marks;
+  }
+  EXPECT_EQ(marks, 2u) << summary;
+  EXPECT_EQ(trace::counters(2).msgs_sent, 1u);
+}
+
 TEST(Trace, JsonTimelineIsWellFormed) {
   TraceOn on;
   run_program(threaded_cfg(2), [] {
