@@ -118,7 +118,7 @@ void Runtime::Impl::on_bcast(MessagePtr msg) {
     BcastHeader dummy;
     ue | dummy;
     auto tuple = info.unpack(ue);
-    deliver(obj, h.ep, std::move(tuple), {}, h.reply);
+    deliver(obj, info, h.ep, std::move(tuple), {}, h.reply);
   }
 }
 

@@ -137,9 +137,9 @@ void Runtime::Impl::resume_fiber(Fiber* f) {
 
 // ---- delivery / execution -------------------------------------------------
 
-void Runtime::Impl::deliver(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-                            const ReplyTo& reply, const ReplyTo& bdone) {
-  const EpInfo& info = Registry::instance().ep(ep);
+void Runtime::Impl::deliver(Chare* obj, const EpInfo& info, EpId ep,
+                            std::shared_ptr<void> tuple, const ReplyTo& reply,
+                            const ReplyTo& bdone) {
   if (info.when) {
     cx::trace::detail::g_when.tests.fetch_add(1, std::memory_order_relaxed);
     if (!info.when(obj, tuple.get())) {
@@ -147,7 +147,7 @@ void Runtime::Impl::deliver(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
       return;
     }
   }
-  execute(obj, ep, std::move(tuple), reply, bdone);
+  execute(obj, info, ep, std::move(tuple), reply, bdone);
 }
 
 /// Resolve the dependency set of `ep`'s when condition for this message,
@@ -329,7 +329,8 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
     buf.total--;
     if (pi.deps == nullptr) buf.unknown--;
     ++n_hits;
-    execute(obj, pi.ep, std::move(pi.args), pi.reply, pi.bcast_done);
+    execute(obj, reg.ep(pi.ep), pi.ep, std::move(pi.args), pi.reply,
+            pi.bcast_done);
   }
   if (n_tests + n_hits + n_skipped != 0) {
     auto& w = cx::trace::detail::g_when;
@@ -339,13 +340,13 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
   }
 }
 
-void Runtime::Impl::execute(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-                            const ReplyTo& reply, const ReplyTo& bdone) {
-  const EpInfo& info = Registry::instance().ep(ep);
+void Runtime::Impl::execute(Chare* obj, const EpInfo& info, EpId ep,
+                            std::shared_ptr<void> tuple, const ReplyTo& reply,
+                            const ReplyTo& bdone) {
   const CollectionId coll = obj->coll_;
-  auto body = [this, obj, ep, tuple = std::move(tuple), reply, bdone,
-               coll]() {
-    Registry::instance().ep(ep).invoke(obj, tuple.get(), reply);
+  auto body = [this, obj, invoke = info.invoke, tuple = std::move(tuple),
+               reply, bdone, coll]() {
+    invoke(obj, tuple.get(), reply);
     if (bdone.valid()) {
       BcastDoneHeader h;
       h.coll = coll;
@@ -461,8 +462,8 @@ void Runtime::Impl::on_local(MessagePtr msg) {
       }
       CollMeta& cm = it->second;
       if (Chare* obj = find_local(cm, env->idx)) {
-        deliver(obj, env->ep, std::move(env->tuple), env->reply,
-                env->bcast_done);
+        deliver(obj, Registry::instance().ep(env->ep), env->ep,
+                std::move(env->tuple), env->reply, env->bcast_done);
       } else {
         // Element moved between send and delivery: fall back to bytes.
         route_entry_msg(cm, env->idx, to_remote());
@@ -490,7 +491,7 @@ void Runtime::Impl::on_entry(MessagePtr msg) {
   if (Chare* obj = find_local(cm, h.idx)) {
     const EpInfo& info = Registry::instance().ep(h.ep);
     auto tuple = info.unpack(u);
-    deliver(obj, h.ep, std::move(tuple), h.reply, h.bcast_done);
+    deliver(obj, info, h.ep, std::move(tuple), h.reply, h.bcast_done);
   } else {
     route_entry_msg(cm, h.idx, std::move(msg));
   }

@@ -1,27 +1,10 @@
 #include "core/reduction.hpp"
 
-#include <mutex>
-
 namespace cx {
-
-namespace {
-std::mutex g_combiner_mutex;
-}
 
 CombinerRegistry& CombinerRegistry::instance() {
   static CombinerRegistry r;
   return r;
-}
-
-CombineId CombinerRegistry::add(CombineFn fn) {
-  std::lock_guard<std::mutex> lock(g_combiner_mutex);
-  fns_.push_back(std::move(fn));
-  return static_cast<CombineId>(fns_.size() - 1);
-}
-
-const CombineFn& CombinerRegistry::get(CombineId id) const {
-  std::lock_guard<std::mutex> lock(g_combiner_mutex);
-  return fns_.at(id);
 }
 
 }  // namespace cx

@@ -16,12 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/id_table.hpp"
 #include "core/ids.hpp"
 #include "core/index.hpp"
 #include "pup/pup.hpp"
@@ -36,16 +36,20 @@ using CombineFn =
     std::function<std::vector<std::byte>(const std::vector<std::byte>&,
                                          const std::vector<std::byte>&)>;
 
-/// Process-global combiner registry. Backed by a deque so references
-/// stay valid while other threads register combiners lazily.
+/// Process-global combiner registry. An IdTable: references stay valid
+/// while other threads register combiners lazily, and combine() reads
+/// without a lock.
 class CombinerRegistry {
  public:
   static CombinerRegistry& instance();
-  CombineId add(CombineFn fn);
-  [[nodiscard]] const CombineFn& get(CombineId id) const;
+  CombineId add(CombineFn fn) { return fns_.append(std::move(fn)); }
+  /// Throws std::out_of_range for an id that was never registered.
+  [[nodiscard]] const CombineFn& get(CombineId id) const {
+    return fns_.at(id);
+  }
 
  private:
-  std::deque<CombineFn> fns_;
+  IdTable<CombineFn> fns_{"reduction combiner"};
 };
 
 /// Register a typed binary reducer; `fn(T& acc, const T& x)` folds x into

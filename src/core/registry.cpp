@@ -7,35 +7,12 @@ Registry& Registry::instance() {
   return r;
 }
 
-EpId Registry::add_ep(EpInfo info) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  eps_.push_back(std::move(info));
-  return static_cast<EpId>(eps_.size() - 1);
-}
-
-FactoryId Registry::add_factory(FactoryInfo info) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  factories_.push_back(std::move(info));
-  return static_cast<FactoryId>(factories_.size() - 1);
-}
-
-const EpInfo& Registry::ep(EpId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return eps_.at(id);
-}
-
 EpInfo& Registry::mutable_ep(EpId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
   // Attribute edits (set_when / clear_when / set_when_deps) can change
   // which buffered messages are eligible without any chare state
   // changing; the epoch bump makes every chare re-examine its buffer.
   bump_when_config_epoch();
-  return eps_.at(id);
-}
-
-const FactoryInfo& Registry::factory(FactoryId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.at(id);
+  return eps_.mutable_at(id);
 }
 
 }  // namespace cx

@@ -13,16 +13,15 @@
 //   set_when<&C::m>(predicate) — deliver only when predicate(chare, args)
 //                                holds; otherwise buffer at the receiver.
 
-#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "core/id_table.hpp"
 #include "core/ids.hpp"
 #include "core/when.hpp"
 #include "pup/pup.hpp"
@@ -94,23 +93,27 @@ struct FactoryInfo {
 
 /// Global append-only registry (process-wide; ids are stable across
 /// Runtime instances, which matters for tests running many runtimes).
-/// Deque storage keeps references valid under concurrent lazy
-/// registration from PE threads.
+/// Both tables are IdTables: registration appends under a mutex, and
+/// the per-message lookups read without one.
 class Registry {
  public:
   static Registry& instance();
 
-  EpId add_ep(EpInfo info);
-  FactoryId add_factory(FactoryInfo info);
+  EpId add_ep(EpInfo info) { return eps_.append(std::move(info)); }
+  FactoryId add_factory(FactoryInfo info) {
+    return factories_.append(info);
+  }
 
-  [[nodiscard]] const EpInfo& ep(EpId id) const;
+  /// Throws std::out_of_range for an id that was never registered.
+  [[nodiscard]] const EpInfo& ep(EpId id) const { return eps_.at(id); }
   [[nodiscard]] EpInfo& mutable_ep(EpId id);
-  [[nodiscard]] const FactoryInfo& factory(FactoryId id) const;
+  [[nodiscard]] const FactoryInfo& factory(FactoryId id) const {
+    return factories_.at(id);
+  }
 
  private:
-  mutable std::mutex mutex_;
-  std::deque<EpInfo> eps_;
-  std::deque<FactoryInfo> factories_;
+  IdTable<EpInfo> eps_{"entry method"};
+  IdTable<FactoryInfo> factories_{"chare factory"};
 };
 
 namespace detail {

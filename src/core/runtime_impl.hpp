@@ -497,10 +497,13 @@ struct Runtime::Impl {
 
   void run_fiber(std::function<void()> body, Chare* owner);
   void resume_fiber(Fiber* f);
-  void deliver(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-               const ReplyTo& reply, const ReplyTo& bdone);
-  void execute(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-               const ReplyTo& reply, const ReplyTo& bdone);
+  // `info` is Registry::instance().ep(ep), looked up once per message.
+  void deliver(Chare* obj, const EpInfo& info, EpId ep,
+               std::shared_ptr<void> tuple, const ReplyTo& reply,
+               const ReplyTo& bdone);
+  void execute(Chare* obj, const EpInfo& info, EpId ep,
+               std::shared_ptr<void> tuple, const ReplyTo& reply,
+               const ReplyTo& bdone);
   void post_execute(Chare* obj);
   // when-condition engine (delivery.cpp)
   const WhenDeps* resolve_when_deps(const EpInfo& info, Chare* obj,

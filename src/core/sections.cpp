@@ -218,7 +218,7 @@ void Runtime::Impl::on_sect_bcast(MessagePtr msg) {
       SectBcastHeader dummy;
       ue | dummy;
       auto tuple = info.unpack(ue);
-      deliver(obj, h.ep, std::move(tuple), {}, h.reply);
+      deliver(obj, info, h.ep, std::move(tuple), {}, h.reply);
     } else {
       route_away(idx);
     }

@@ -15,11 +15,11 @@ std::atomic<double> g_dispatch_overhead{0.0};
 
 /// Shared when-predicate for both dyn_call entry methods: evaluate the
 /// target method's compiled condition against self attributes and named
-/// arguments (paper §II-E). Hot path: method resolution goes through the
-/// instance cache and evaluation through the non-allocating EvalCtx (no
-/// std::function resolver per test).
+/// arguments (paper §II-E). Hot path: method resolution is a lock-free
+/// lookup in the chare's class, and evaluation goes through the
+/// non-allocating EvalCtx (no std::function resolver per test).
 bool dyn_when(DChare& self, const std::string& method, const Args& args) {
-  const MethodDef* def = self.find_method_cached(method);
+  const MethodDef* def = self.lookup_method(method);
   if (def == nullptr || !def->has_when) return true;
   EvalCtx ctx;
   ctx.self = &self.attrs();
@@ -34,7 +34,7 @@ bool dyn_when(DChare& self, const std::string& method, const Args& args) {
 /// messages whose `self.<attr>` reads did not change.
 const cx::WhenDeps* dyn_when_deps(DChare& self, const std::string& method,
                                   const Args& /*args*/) {
-  const MethodDef* def = self.find_method_cached(method);
+  const MethodDef* def = self.lookup_method(method);
   if (def == nullptr || !def->has_when) return nullptr;
   return def->when_deps.get();
 }
@@ -68,13 +68,14 @@ Value index_value(const cx::Index& idx) {
 
 }  // namespace
 
-DChare::DChare(std::string cls, Args ctor_args) : cls_(std::move(cls)) {
-  if (!class_exists(cls_)) {
+DChare::DChare(std::string cls, Args ctor_args)
+    : cls_(std::move(cls)), methods_(find_class(cls_)) {
+  if (methods_ == nullptr) {
     throw std::runtime_error("NameError: dynamic class '" + cls_ +
                              "' is not registered");
   }
   (*this)["thisIndex"] = index_value(this_index());
-  if (const MethodDef* init = find_method(cls_, "__init__")) {
+  if (const MethodDef* init = lookup_method("__init__")) {
     init->fn(*this, ctor_args);
   }
 }
@@ -126,16 +127,6 @@ const Value* DChare::find_attr(cx::AttrKey key, std::string_view name) {
   return &index_attr(key, *it).node->second;
 }
 
-const MethodDef* DChare::find_method_cached(std::string_view method) const {
-  const cx::AttrKey key = cx::attr_key(method);
-  if (const MethodEntry* hit = method_index_.find(key, method)) {
-    return hit->def;
-  }
-  const MethodDef* def = find_method(cls_, std::string(method));
-  if (def != nullptr) method_index_.insert({key, def});
-  return def;
-}
-
 bool DChare::has_attr(const std::string& name) const {
   return attrs_.as_dict().count(name) != 0;
 }
@@ -144,15 +135,15 @@ void DChare::pup(pup::Er& p) {
   p | cls_;
   attrs_.pup(p);
   if (p.unpacking()) {
-    // The indexes point into the dict and class this just replaced;
-    // they refill on the next lookups.
+    methods_ = find_class(cls_);
+    // The index points into the dict this just replaced; it refills on
+    // the next lookups.
     attr_index_.clear();
-    method_index_.clear();
   }
 }
 
 void DChare::resume_from_sync() {
-  if (find_method(cls_, "resumeFromSync") != nullptr) {
+  if (lookup_method("resumeFromSync") != nullptr) {
     Args none;
     (void)dyn_call("resumeFromSync", std::move(none));
   }
@@ -193,7 +184,7 @@ double DChare::sim_dispatch_overhead() noexcept {
 }
 
 const MethodDef& DChare::resolve(const std::string& method) const {
-  const MethodDef* def = find_method_cached(method);
+  const MethodDef* def = lookup_method(method);
   if (def == nullptr) {
     throw std::runtime_error("AttributeError: class '" + cls_ +
                              "' has no method '" + method + "'");

@@ -16,15 +16,14 @@
 //     return cpy::Value::none();
 //   });
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "core/charm.hpp"
 #include "model/dclass.hpp"
+#include "model/name_index.hpp"
 #include "model/value.hpp"
 
 namespace cpy {
@@ -41,61 +40,6 @@ struct DTarget {
     return t;
   }
 };
-
-namespace detail {
-
-/// Open-addressed table from a name to an entry pointing into node-based
-/// storage owned elsewhere (the attribute dict, the method registry).
-/// Linear probing over a power-of-two capacity kept at most half full;
-/// it grows by doubling. A probe matches on the cx::attr_key hash and
-/// then compares the name itself, so two names whose hashes collide
-/// never alias. `E` has a `key`, `bool empty() const` and
-/// `std::string_view name() const`.
-template <typename E>
-class NameIndex {
- public:
-  [[nodiscard]] const E* find(cx::AttrKey key,
-                              std::string_view name) const noexcept {
-    if (slots_.empty()) return nullptr;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = key & mask;; i = (i + 1) & mask) {
-      const E& e = slots_[i];
-      if (e.empty()) return nullptr;
-      if (e.key == key && e.name() == name) return &e;
-    }
-  }
-
-  /// Add an entry whose name is not in the table yet.
-  void insert(const E& e) {
-    if (2 * (size_ + 1) > slots_.size()) {
-      std::vector<E> old(std::max<std::size_t>(8, 2 * slots_.size()));
-      old.swap(slots_);
-      for (const E& o : old) {
-        if (!o.empty()) place(o);
-      }
-    }
-    place(e);
-    ++size_;
-  }
-
-  void clear() noexcept {
-    slots_.clear();
-    size_ = 0;
-  }
-
- private:
-  void place(const E& e) noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = e.key & mask;
-    while (!slots_[i].empty()) i = (i + 1) & mask;
-    slots_[i] = e;
-  }
-
-  std::vector<E> slots_;
-  std::size_t size_ = 0;
-};
-
-}  // namespace detail
 
 class DChare : public cx::Chare {
  public:
@@ -132,14 +76,16 @@ class DChare : public cx::Chare {
   [[nodiscard]] const Value& attrs() const noexcept { return attrs_; }
 
   [[nodiscard]] const std::string& dclass() const noexcept { return cls_; }
+  /// The class, resolved at construction and on unpack.
+  [[nodiscard]] const MethodTable* method_table() const noexcept {
+    return methods_;
+  }
 
-  /// Method lookup through this instance's cache: one global-registry
-  /// resolution per method name for the lifetime of the instance
-  /// (MethodDef storage is node-based, so the pointers stay valid and
-  /// see later redefinitions in place). Returns nullptr if unknown;
-  /// misses are not cached, so methods defined later are still found.
-  [[nodiscard]] const MethodDef* find_method_cached(
-      std::string_view method) const;
+  /// Lock-free method lookup in this instance's class; nullptr if
+  /// unknown. Methods defined later are found too.
+  [[nodiscard]] const MethodDef* lookup_method(std::string_view method) const {
+    return find_method(methods_, method);
+  }
 
   /// Automatic migration serialization: class name + attribute dict.
   void pup(pup::Er& p) override;
@@ -185,14 +131,6 @@ class DChare : public cx::Chare {
       return node->first;
     }
   };
-  struct MethodEntry {
-    cx::AttrKey key = 0;
-    const MethodDef* def = nullptr;
-    [[nodiscard]] bool empty() const noexcept { return def == nullptr; }
-    [[nodiscard]] std::string_view name() const noexcept {
-      return def->name;
-    }
-  };
 
   const MethodDef& resolve(const std::string& method) const;
   /// operator[] with the name's hash given: `key` is cx::attr_key(name).
@@ -200,15 +138,13 @@ class DChare : public cx::Chare {
   AttrEntry index_attr(cx::AttrKey key, Dict::value_type& node);
 
   std::string cls_;
+  const MethodTable* methods_ = nullptr;
   /// The storage of record (pup, attrs(), repr); attr_index_ points
   /// into its nodes, which std::map keeps address-stable.
   Value attrs_ = Value::dict({});
   /// Attribute index (not pupped: unpacking replaces the dict nodes, so
   /// pup clears it and it refills on the next accesses).
   detail::NameIndex<AttrEntry> attr_index_;
-  /// Per-instance method resolution cache (positive entries only; not
-  /// pupped — it repopulates after migration).
-  mutable detail::NameIndex<MethodEntry> method_index_;
 };
 
 }  // namespace cpy

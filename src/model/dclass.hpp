@@ -17,10 +17,17 @@
 //
 // Classes register globally by name at construction; instances are
 // created with cpy::create_chare / create_group / create_array.
+//
+// Definitions take the registry's mutex; lookups do not. Each class's
+// methods sit in a lock-free PublishedIndex, and so do the classes
+// themselves, so a send or a dispatch never waits on a definition made
+// by another PE (pool.cpp defines its classes lazily, mid-run).
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/expr.hpp"
@@ -45,12 +52,20 @@ struct MethodDef {
   std::shared_ptr<const cx::WhenDeps> when_deps;
 };
 
+/// A registered class's method table. Resolve it once by name with
+/// find_class() and keep the pointer: it stays valid for the process
+/// lifetime and sees methods defined later.
+class MethodTable;
+
 class DClass {
  public:
   /// Create (or reopen) the class `name` in the global registry.
   explicit DClass(std::string name);
 
   /// Define a method. Parameter names are used by `when` conditions.
+  /// A new method is published fully formed (threaded flag included);
+  /// redefining an existing one overwrites its MethodDef in place, which
+  /// must not race with dispatches of that method.
   DClass& def(const std::string& method, std::vector<std::string> params,
               MethodFn fn);
 
@@ -65,15 +80,33 @@ class DClass {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
+  DClass& define(const std::string& method, std::vector<std::string> params,
+                 MethodFn fn, bool threaded);
+
   std::string name_;
+  MethodTable* table_;
 };
 
-/// Look up a method; returns nullptr if the class or method is unknown.
-/// The returned pointer stays valid for the process lifetime.
+/// The class `cls`, or nullptr if it is not registered. Lock-free.
+const MethodTable* find_class(std::string_view cls);
+
+/// Look up a method of a resolved class (null `cls` finds nothing).
+/// Lock-free. The returned pointer stays valid for the process lifetime.
+const MethodDef* find_method(const MethodTable* cls, std::string_view method);
+
+/// Look up a method by class name; nullptr if the class or method is
+/// unknown.
 const MethodDef* find_method(const std::string& cls,
                              const std::string& method);
 
 /// True if the class exists in the registry.
 bool class_exists(const std::string& cls);
+
+namespace detail {
+/// How often the class registry's mutex has been taken. Only
+/// definitions take it; tests read this to show that no send or
+/// dispatch does.
+std::uint64_t class_registry_locks() noexcept;
+}  // namespace detail
 
 }  // namespace cpy

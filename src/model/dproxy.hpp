@@ -19,11 +19,19 @@
 
 namespace cpy {
 
+// A dynamic proxy resolves its class once: when it is made (from a
+// name, or from the chare or collection it came from) and when it is
+// unpacked. A send then reads the method's threaded flag from the
+// class's lock-free method table.
+
 class DElement {
  public:
   DElement() = default;
   DElement(cx::ElementProxy<DChare> p, std::string cls)
-      : p_(p), cls_(std::move(cls)) {}
+      : p_(p), cls_(std::move(cls)), methods_(find_class(cls_)) {}
+  DElement(cx::ElementProxy<DChare> p, std::string cls,
+           const MethodTable* methods)
+      : p_(p), cls_(std::move(cls)), methods_(methods) {}
 
   /// Asynchronous invocation by method name; returns immediately.
   void send(const std::string& method, Args args = {}) const {
@@ -75,26 +83,31 @@ class DElement {
   void pup(pup::Er& p) {
     p_.pup(p);
     p | cls_;
+    if (p.unpacking()) methods_ = find_class(cls_);
   }
 
  private:
   [[nodiscard]] bool is_threaded(const std::string& method) const {
-    const MethodDef* def = find_method(cls_, method);
+    const MethodDef* def = find_method(methods_, method);
     return def != nullptr && def->threaded;
   }
 
   cx::ElementProxy<DChare> p_;
   std::string cls_;
+  const MethodTable* methods_ = nullptr;
 };
 
 class DCollection {
  public:
   DCollection() = default;
   DCollection(cx::CollectionProxy<DChare> p, std::string cls)
-      : p_(p), cls_(std::move(cls)) {}
+      : p_(p), cls_(std::move(cls)), methods_(find_class(cls_)) {}
+  DCollection(cx::CollectionProxy<DChare> p, std::string cls,
+              const MethodTable* methods)
+      : p_(p), cls_(std::move(cls)), methods_(methods) {}
 
   DElement operator[](const cx::Index& idx) const {
-    return DElement(p_[idx], cls_);
+    return DElement(p_[idx], cls_, methods_);
   }
 
   /// Broadcast a method to every member.
@@ -145,16 +158,18 @@ class DCollection {
   void pup(pup::Er& p) {
     p_.pup(p);
     p | cls_;
+    if (p.unpacking()) methods_ = find_class(cls_);
   }
 
  private:
   [[nodiscard]] bool is_threaded(const std::string& method) const {
-    const MethodDef* def = find_method(cls_, method);
+    const MethodDef* def = find_method(methods_, method);
     return def != nullptr && def->threaded;
   }
 
   cx::CollectionProxy<DChare> p_;
   std::string cls_;
+  const MethodTable* methods_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -207,13 +222,13 @@ inline DCollection create_sparse_array(const std::string& cls, int ndims,
 inline DElement proxy_of(const DChare& self) {
   return DElement(
       cx::ElementProxy<DChare>(self.collection(), self.this_index()),
-      self.dclass());
+      self.dclass(), self.method_table());
 }
 
 /// Proxy to the whole collection of the executing chare.
 inline DCollection collection_proxy_of(const DChare& self) {
   return DCollection(cx::CollectionProxy<DChare>(self.collection()),
-                     self.dclass());
+                     self.dclass(), self.method_table());
 }
 
 /// Reduction target from a future.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -49,7 +50,8 @@ void note_pool_task(int pe, std::uint64_t ns) noexcept {
 namespace {
 struct PoolJobs {
   std::mutex mu;
-  std::vector<PoolJobRecord> records;
+  std::deque<PoolJobRecord> records;  ///< the newest kPoolJobRecordCap
+  std::uint64_t dropped = 0;
 };
 PoolJobs& pool_jobs() {
   static PoolJobs j;
@@ -118,18 +120,29 @@ void reset_pool_stats() noexcept {
   auto& j = pool_jobs();
   std::lock_guard<std::mutex> lock(j.mu);
   j.records.clear();
+  j.dropped = 0;
 }
 
 void pool_job_note(const PoolJobRecord& rec) {
   auto& j = pool_jobs();
   std::lock_guard<std::mutex> lock(j.mu);
+  if (j.records.size() == kPoolJobRecordCap) {
+    j.records.pop_front();
+    ++j.dropped;
+  }
   j.records.push_back(rec);
 }
 
 std::vector<PoolJobRecord> pool_job_records() {
   auto& j = pool_jobs();
   std::lock_guard<std::mutex> lock(j.mu);
-  return j.records;
+  return {j.records.begin(), j.records.end()};
+}
+
+std::uint64_t pool_job_records_dropped() {
+  auto& j = pool_jobs();
+  std::lock_guard<std::mutex> lock(j.mu);
+  return j.dropped;
 }
 
 WhenEngineStats when_stats() noexcept {
@@ -795,6 +808,10 @@ std::string summary_table() {
          << cxu::Table::num(r.tasks_per_s(), 0) << " tasks/s)"
          << (r.failed ? " FAILED" : "") << "\n";
     }
+    if (const std::uint64_t dropped = pool_job_records_dropped()) {
+      os << "  (" << dropped << " older job records dropped; the last "
+         << kPoolJobRecordCap << " are kept)\n";
+    }
   }
   return os.str();
 }
@@ -895,7 +912,8 @@ void write_json(std::ostream& os) {
      << ",\"inflight_clamps\":" << pool.inflight_clamps
      << ",\"queue_high_water\":" << pool.queue_high_water
      << ",\"mean_task_s\":" << pool.mean_task_s()
-     << ",\"p99_task_s\":" << pool.p99_task_s() << ",\"jobs\":[";
+     << ",\"p99_task_s\":" << pool.p99_task_s()
+     << ",\"jobs_dropped\":" << pool_job_records_dropped() << ",\"jobs\":[";
   bool jfirst = true;
   for (const PoolJobRecord& r : pool_job_records()) {
     if (!jfirst) os << ',';

@@ -394,11 +394,19 @@ struct PoolJobRecord {
   }
 };
 
+/// Job records kept: a long-running pool keeps its newest jobs only.
+inline constexpr std::size_t kPoolJobRecordCap = 1024;
+
 /// Append one job record (called by the pool master; mutex-guarded).
+/// Beyond kPoolJobRecordCap records the oldest is dropped.
 void pool_job_note(const PoolJobRecord& rec);
 
-/// Job records accumulated since begin_run()/reset_pool_stats().
+/// Job records since begin_run()/reset_pool_stats(), oldest first: the
+/// newest kPoolJobRecordCap of them.
 [[nodiscard]] std::vector<PoolJobRecord> pool_job_records();
+
+/// Records dropped since begin_run()/reset_pool_stats() to keep the cap.
+[[nodiscard]] std::uint64_t pool_job_records_dropped();
 
 namespace detail {
 struct WireAtomics {

@@ -1,7 +1,6 @@
 #include "wire/agg.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "util/options.hpp"
@@ -13,8 +12,7 @@ namespace {
 
 using cx::trace::detail::g_wire;
 
-std::atomic<bool> g_agg_enabled{
-    parse_toggle(std::getenv("CHARMX_WIRE_AGG"), /*unset=*/false)};
+std::atomic<bool> g_agg_enabled{false};
 
 std::mutex g_agg_cfg_mutex;
 AggConfig g_agg_cfg;

@@ -68,9 +68,9 @@ struct AggConfig {
   double flush_delay_s = 1.0e-5;     ///< SimMachine flush-timer delay
 };
 
-/// Is aggregation enabled? Defaults to off; seeded from CHARMX_WIRE_AGG
-/// and overridable per run via --wire-agg=on|off. Machines sample it at
-/// construction, so toggle it before building a Runtime.
+/// Is aggregation enabled? Defaults to off; set per run via
+/// --wire-agg=on|off. Machines sample it at construction, so toggle it
+/// before building a Runtime.
 [[nodiscard]] bool agg_enabled() noexcept;
 void set_agg_enabled(bool on) noexcept;
 

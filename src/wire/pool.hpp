@@ -69,7 +69,7 @@ void free_msg(void* p, std::size_t size) noexcept;
 void set_pool_enabled(bool on) noexcept;
 
 /// Shared on/off parser for the wire layer's toggles (CHARMX_WIRE_POOL,
-/// CHARMX_WIRE_AGG, --wire-pool, --wire-agg): exactly "0", "off" or
+/// --wire-pool, --wire-agg): exactly "0", "off" or
 /// "false" (case-insensitive) mean off, any other value means on, and
 /// nullptr (unset) returns `unset`. The old env parser matched any
 /// value starting with 'o' except "on" — "omit" disabled the pool while

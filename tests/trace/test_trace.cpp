@@ -205,6 +205,35 @@ TEST(Trace, SummaryMarksPesOfOtherRanks) {
   EXPECT_EQ(trace::counters(2).msgs_sent, 1u);
 }
 
+TEST(Trace, PoolJobRecordsKeepTheNewestAndCountDrops) {
+  TraceOn on;
+  trace::reset_pool_stats();
+  const std::size_t extra = 6;
+  for (std::size_t i = 0; i < trace::kPoolJobRecordCap + extra; ++i) {
+    trace::PoolJobRecord r;
+    r.job_id = i;
+    r.tasks = 1;
+    trace::pool_job_note(r);
+  }
+  const auto recs = trace::pool_job_records();
+  ASSERT_EQ(recs.size(), trace::kPoolJobRecordCap);
+  EXPECT_EQ(recs.front().job_id, extra);
+  EXPECT_EQ(recs.back().job_id, trace::kPoolJobRecordCap + extra - 1);
+  EXPECT_EQ(trace::pool_job_records_dropped(), extra);
+  // The summary lists pool jobs only once the pool has counted work.
+  trace::detail::g_pool.grants.fetch_add(1);
+  const std::string summary = trace::summary_table();
+  EXPECT_NE(summary.find("(6 older job records dropped; the last 1024 are "
+                         "kept)"),
+            std::string::npos);
+  std::ostringstream os;
+  trace::write_json(os);
+  EXPECT_NE(os.str().find("\"jobs_dropped\":6,"), std::string::npos);
+  trace::reset_pool_stats();
+  EXPECT_TRUE(trace::pool_job_records().empty());
+  EXPECT_EQ(trace::pool_job_records_dropped(), 0u);
+}
+
 TEST(Trace, JsonTimelineIsWellFormed) {
   TraceOn on;
   run_program(threaded_cfg(2), [] {
