@@ -60,7 +60,7 @@ thread_local EnvCache t_env_cache;
 }  // namespace
 
 LocalEnvelope* acquire_envelope() {
-  auto& w = cx::trace::detail::g_wire;
+  auto& w = cx::trace::detail::wire_local();
   if (wire::pool_enabled() && !t_env_cache.free.empty()) {
     LocalEnvelope* e = t_env_cache.free.back();
     t_env_cache.free.pop_back();
@@ -141,7 +141,7 @@ void Runtime::Impl::deliver(Chare* obj, const EpInfo& info, EpId ep,
                             std::shared_ptr<void> tuple, const ReplyTo& reply,
                             const ReplyTo& bdone) {
   if (info.when) {
-    cx::trace::detail::g_when.tests.fetch_add(1, std::memory_order_relaxed);
+    cx::trace::detail::when_local().tests.fetch_add(1, std::memory_order_relaxed);
     if (!info.when(obj, tuple.get())) {
       buffer_invoke(obj, info, ep, std::move(tuple), reply, bdone);
       return;
@@ -203,7 +203,7 @@ void Runtime::Impl::buffer_invoke(Chare* obj, const EpInfo& info, EpId ep,
   if (b.q.empty()) b.floor = pi.tested_at;
   b.q.push_back(std::move(pi));
   buf.total++;
-  auto& w = cx::trace::detail::g_when;
+  auto& w = cx::trace::detail::when_local();
   w.buffered.fetch_add(1, std::memory_order_relaxed);
   w.raise_high_water(buf.total);
   CX_TRACE_EVENT(mype(), machine->now(), cx::trace::EventKind::WhenBuffer,
@@ -333,7 +333,7 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
             pi.bcast_done);
   }
   if (n_tests + n_hits + n_skipped != 0) {
-    auto& w = cx::trace::detail::g_when;
+    auto& w = cx::trace::detail::when_local();
     w.tests.fetch_add(n_tests, std::memory_order_relaxed);
     w.hits.fetch_add(n_hits, std::memory_order_relaxed);
     w.skipped.fetch_add(n_skipped, std::memory_order_relaxed);

@@ -72,7 +72,7 @@ std::size_t frame_bytes(const cxnet::FrameHead& head, const Message* msg) {
 }
 }  // namespace
 
-using cx::trace::detail::g_wire;
+using cx::trace::detail::wire_local;
 
 Link::Link(ThreadedMachine& m, const SocketParams& p)
     : m_(m),
@@ -184,11 +184,11 @@ void Link::write_direct(int rank, OutFrame frame) {
     }
   }
   const bool whole = off == total;
-  if (off > 0) count(g_wire.net_pe_bytes, off);
+  if (off > 0) count(wire_local().net_pe_bytes, off);
   if (whole) {
-    count(g_wire.net_pe_frames);
+    count(wire_local().net_pe_frames);
   } else if (w >= 0) {
-    count(g_wire.net_partial_writes);
+    count(wire_local().net_partial_writes);
   }
   // Frames other PEs queued meanwhile, the rest of a short write, or a
   // frame whose write failed (the comm thread meets the error again and
@@ -231,7 +231,7 @@ ssize_t Link::put(Peer& p, const OutFrame& frame, std::size_t off) {
 }
 
 void Link::ring_doorbell(Peer& p) {
-  count(g_wire.net_doorbells);
+  count(wire_local().net_doorbells);
   const char b = 1;
   ssize_t w;
   do {
@@ -260,7 +260,7 @@ void Link::queue(int rank, OutFrame frame) {
 }
 
 void Link::wake_comm() {
-  count(g_wire.net_wake_pokes);
+  count(wire_local().net_wake_pokes);
   const char b = 1;
   [[maybe_unused]] const ssize_t rc = ::write(wake_w_.get(), &b, 1);
   // EAGAIN means the pipe already holds a wake byte — good enough.
@@ -309,28 +309,28 @@ bool Link::flush_peer(int rank) {
       if (w == 0) {
         // Full. wait_events watches a ring for room; a socket reports it
         // through EPOLLOUT.
-        count(g_wire.net_partial_writes);
+        count(wire_local().net_partial_writes);
         if (p.tx) {
           p.tx_full = true;
         } else if (!p.want_write) {
-          count(g_wire.net_epollout_arms);
+          count(wire_local().net_epollout_arms);
           set_events(rank, EPOLLIN | EPOLLOUT);
         }
         return true;
       }
-      if (err == EPROTO) count(g_wire.net_decode_errors);
+      if (err == EPROTO) count(wire_local().net_decode_errors);
       peer_down(rank, std::string("send failed: ") +
                           (err == EPROTO ? "ring head out of range"
                                          : std::strerror(err)));
       return false;
     }
-    count(g_wire.net_comm_bytes, static_cast<std::uint64_t>(w));
+    count(wire_local().net_comm_bytes, static_cast<std::uint64_t>(w));
     p.out_off += static_cast<std::size_t>(w);
     if (p.out_off < frame_bytes(front->head, front->msg.get())) {
-      count(g_wire.net_partial_writes);
+      count(wire_local().net_partial_writes);
       continue;
     }
-    count(g_wire.net_comm_frames);
+    count(wire_local().net_comm_frames);
     MessagePtr sent;  // declared before the lock: freed after unlocking
     std::lock_guard<std::mutex> lock(p.mu);
     p.out_off = 0;
@@ -402,7 +402,7 @@ void Link::read_ring(int rank) {
   while (p.rx && budget > 0) {
     const std::ptrdiff_t avail = p.rx.available();
     if (avail < 0) {
-      count(g_wire.net_decode_errors);
+      count(wire_local().net_decode_errors);
       peer_down(rank, "protocol violation: ring tail out of range");
       return;
     }
@@ -452,14 +452,14 @@ bool Link::drain_frames(int rank, const std::byte* p, std::size_t n) {
     cxnet::Frame f;
     switch (reader.next(p, n, f)) {
       case cxnet::FrameReader::Status::Frame:
-        count(g_wire.net_rx_frames);
-        count(g_wire.net_rx_bytes, cxnet::kFrameHeadBytes + f.msg->data.size());
+        count(wire_local().net_rx_frames);
+        count(wire_local().net_rx_bytes, cxnet::kFrameHeadBytes + f.msg->data.size());
         handle_frame(rank, std::move(f));
         break;
       case cxnet::FrameReader::Status::NeedMore:
         return true;
       case cxnet::FrameReader::Status::Error:
-        count(g_wire.net_decode_errors);
+        count(wire_local().net_decode_errors);
         peer_down(rank, "protocol violation: " + reader.error());
         return false;
     }
@@ -577,12 +577,12 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
     const double until = cxu::wall_time() + ThreadedMachine::kPollBudget;
     do {
       if (rings_ready()) {
-        count(g_wire.net_poll_hits);
+        count(wire_local().net_poll_hits);
         return 0;
       }
       const int n = ::epoll_wait(epoll_.get(), events, cap, 0);
       if (n > 0) {
-        count(g_wire.net_poll_hits);
+        count(wire_local().net_poll_hits);
         return n;
       }
       std::this_thread::yield();
@@ -597,7 +597,7 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
   }
   int n = 0;
   if (!rings_ready()) {
-    count(g_wire.net_blocking_waits);
+    count(wire_local().net_blocking_waits);
     n = ::epoll_wait(epoll_.get(), events, cap, timeout_ms);
   }
   for (Peer& p : peers_) {

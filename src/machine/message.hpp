@@ -14,6 +14,7 @@
 // make_unique<Message>/new/delete anywhere in the codebase recycles
 // automatically.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -73,6 +74,10 @@ struct Message {
   /// kWireAggFlush). Zero for ordinary messages; only inspected when
   /// sender-side aggregation is enabled.
   std::uint8_t wire_flags = 0;
+
+  /// Machine-owned queue link: the threaded machine's mailboxes chain
+  /// queued messages through it (never copied, never on the wire).
+  std::atomic<Message*> next{nullptr};
 
   Message() = default;
 

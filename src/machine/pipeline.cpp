@@ -86,7 +86,7 @@ void PipelineMachine::note_send(const Message& msg) {
                    static_cast<std::uint64_t>(msg.dst_pe), msg.wire_size());
   }
   if (src >= 0 && msg.dst_pe != src && msg.local == nullptr) {
-    cx::trace::detail::g_wire.transport_msgs.fetch_add(
+    cx::trace::detail::wire_local().transport_msgs.fetch_add(
         1, std::memory_order_relaxed);
   }
 }

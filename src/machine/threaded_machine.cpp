@@ -18,7 +18,7 @@ thread_local int t_current_pe = -1;
 /// path copies none; the copies counted here are the ones cx::ft makes
 /// of remote sends (the pending copy, retransmits, injected duplicates).
 void count_tx_copy(std::size_t n) {
-  cx::trace::detail::g_wire.net_tx_copy_bytes.fetch_add(
+  cx::trace::detail::wire_local().net_tx_copy_bytes.fetch_add(
       n, std::memory_order_relaxed);
 }
 
@@ -74,13 +74,12 @@ int ThreadedMachine::current_pe() const noexcept { return t_current_pe; }
 
 void ThreadedMachine::enqueue(int dst, MessagePtr msg) {
   Mailbox& mb = *mailboxes_[lidx(dst)];
-  {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.queue.push_back(std::move(msg));
-    mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
-    mb.posts.fetch_add(1, std::memory_order_relaxed);
+  if (mb.push(msg.release())) {
+    // The owner is parking: once we hold the mutex it is waiting on the
+    // cv (or has seen the message and left).
+    { std::lock_guard<std::mutex> lock(mb.mutex); }
+    mb.cv.notify_one();
   }
-  mb.cv.notify_one();
 }
 
 void ThreadedMachine::enqueue_delayed(int dst, MessagePtr msg,
@@ -89,7 +88,8 @@ void ThreadedMachine::enqueue_delayed(int dst, MessagePtr msg,
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.delayed.emplace(deadline, std::move(msg));
-    mb.posts.fetch_add(1, std::memory_order_relaxed);
+    mb.next_due.store(mb.delayed.begin()->first, std::memory_order_relaxed);
+    mb.posts.fetch_add(1, std::memory_order_release);
   }
   mb.cv.notify_one();  // the PE re-bounds its wait by the new deadline
 }
@@ -180,9 +180,9 @@ void ThreadedMachine::wake(int pe) {
   Mailbox& mb = *mailboxes_[lidx(pe)];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.posts.fetch_add(1, std::memory_order_relaxed);
+    mb.posts.fetch_add(1, std::memory_order_release);
   }
-  mb.cv.notify_all();
+  mb.cv.notify_one();
 }
 
 void ThreadedMachine::announce(int pe, Liveness to) {
@@ -196,12 +196,21 @@ void ThreadedMachine::announce(int pe, Liveness to) {
 void ThreadedMachine::discard_backlog(int pe) {
   if (!is_local(pe)) return;
   // A hung PE's mailbox kept filling; a crashed one may not have
-  // drained yet.
+  // drained yet. Only the owner pops, so mark the cut and let it drop
+  // everything queued ahead of the marker. Under the mutex, so a due
+  // delivery the owner is promoting lands ahead of the marker too.
   Mailbox& mb = *mailboxes_[lidx(pe)];
-  std::lock_guard<std::mutex> lock(mb.mutex);
-  mb.queue.clear();
-  mb.ready.store(0, std::memory_order_relaxed);
-  mb.delayed.clear();
+  auto cut = std::make_unique<Message>();
+  cut->dst_pe = kCutMarker;
+  bool parked = false;
+  {
+    std::lock_guard<std::mutex> lock(mb.mutex);
+    mb.delayed.clear();
+    mb.next_due.store(cx::ft::SenderWindow::kNever, std::memory_order_relaxed);
+    mb.cuts.fetch_add(1, std::memory_order_relaxed);
+    parked = mb.push(cut.release());
+  }
+  if (parked) mb.cv.notify_one();
 }
 
 void ThreadedMachine::retransmit_due(int pe, PeSlot& me) {
@@ -250,21 +259,60 @@ void ThreadedMachine::request_stop(bool broadcast) {
   if (broadcast && link_) link_->broadcast(cxnet::ControlOp::Stop, -1);
   for (auto& mb : mailboxes_) {
     std::lock_guard<std::mutex> lock(mb->mutex);
-    mb->posts.fetch_add(1, std::memory_order_relaxed);
-    mb->cv.notify_all();
+    mb->posts.fetch_add(1, std::memory_order_release);
+    mb->cv.notify_one();
   }
 }
 
-void ThreadedMachine::poll(Mailbox& mb, std::unique_lock<std::mutex>& lock,
-                           double until) {
-  const std::uint64_t seen = mb.posts.load(std::memory_order_relaxed);
-  lock.unlock();
+MessagePtr ThreadedMachine::take(Mailbox& mb) {
+  for (;;) {
+    MessagePtr m = mb.pop();
+    if (!m) return m;
+    if (m->dst_pe == kCutMarker) {
+      mb.cuts.fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
+    // Queued ahead of a revive's cut: dropped unrun.
+    if (mb.cuts.load(std::memory_order_relaxed) == 0) return m;
+  }
+}
+
+void ThreadedMachine::promote_due(Mailbox& mb, double tnow) {
+  std::lock_guard<std::mutex> lock(mb.mutex);
+  auto& d = mb.delayed;
+  while (!d.empty() && d.begin()->first <= tnow) {
+    mb.push(d.begin()->second.release());
+    d.erase(d.begin());
+  }
+  mb.next_due.store(d.empty() ? cx::ft::SenderWindow::kNever
+                              : d.begin()->first,
+                    std::memory_order_relaxed);
+}
+
+void ThreadedMachine::poll(Mailbox& mb, std::uint64_t seen, double until) {
   // Yield, not a pause hint: a PE that has just woken its Link's comm
   // thread often shares a core with it, and must let it run at once.
-  while (mb.posts.load(std::memory_order_relaxed) == seen && now() < until) {
+  while (mb.empty() && mb.posts.load(std::memory_order_relaxed) == seen &&
+         now() < until) {
     std::this_thread::yield();
   }
-  lock.lock();
+}
+
+void ThreadedMachine::park(Mailbox& mb, std::uint64_t seen, double until,
+                           bool for_messages) {
+  std::unique_lock<std::mutex> lock(mb.mutex);
+  // The seq_cst store pairs with push(): a sender either finds the flag
+  // set and notifies under the mutex, or empty() below sees its tail.
+  if (for_messages) mb.sleeping.store(true, std::memory_order_seq_cst);
+  if (mb.posts.load(std::memory_order_relaxed) == seen &&
+      !(for_messages && !mb.empty())) {
+    if (until >= cx::ft::SenderWindow::kNever) {
+      mb.cv.wait(lock);
+    } else {
+      mb.cv.wait_for(lock, std::chrono::duration<double>(until - now()));
+    }
+  }
+  mb.sleeping.store(false, std::memory_order_relaxed);
 }
 
 void ThreadedMachine::pe_loop(int pe) {
@@ -283,67 +331,59 @@ void ThreadedMachine::pe_loop(int pe) {
     bool polled = false;  // this idle span already polled once
     bool parked = false;  // ...and then parked on the cv
     Liveness life = Liveness::Up;
-    {
-      std::unique_lock<std::mutex> lock(mb.mutex);
-      for (;;) {
-        if (any_failed_.load(std::memory_order_relaxed)) life = own_step(pe);
-        if (life == Liveness::Hung) {
-          // A hung PE parks: it drains nothing, acks nothing, fires no
-          // retransmits — total silence until revive_pe() or stop().
-          if (stop_.load(std::memory_order_acquire)) {
-            stopping = true;
-            break;
-          }
-          mb.cv.wait(lock);
-          continue;
-        }
-        const double tnow = now();
-        // Promote deferred deliveries that have come due.
-        while (!mb.delayed.empty() && mb.delayed.begin()->first <= tnow) {
-          mb.queue.push_back(std::move(mb.delayed.begin()->second));
-          mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
-          mb.delayed.erase(mb.delayed.begin());
-        }
-        if (!mb.queue.empty()) break;
+    for (;;) {
+      // Read before the checks below: a post after this ends the wait.
+      const std::uint64_t seen = mb.posts.load(std::memory_order_acquire);
+      if (any_failed_.load(std::memory_order_relaxed)) life = own_step(pe);
+      if (life == Liveness::Hung) {
+        // A hung PE parks: it drains nothing, acks nothing, fires no
+        // retransmits — total silence until revive_pe() or stop().
         if (stop_.load(std::memory_order_acquire)) {
           stopping = true;
           break;
         }
-        if (slot.agg && slot.agg->has_pending()) {
-          // Idle hook: out of work with open batches — seal and send
-          // them (outside the mailbox lock) before going to sleep.
-          flush_idle = true;
-          break;
-        }
-        // The scheduler is about to sleep: bound the wait by the next
-        // deferred delivery and (with ft on) the next retransmit
-        // deadline of our own unacked sends.
-        double dl = mb.delayed.empty() ? kNever : mb.delayed.begin()->first;
-        if (me) dl = std::min(dl, me->sw.next_deadline());
-        if (dl <= tnow) break;  // a retransmit is due; handle below
-        const double t0 = cxu::wall_time();
-        if (poll_ && !polled) {
-          // Poll first, then re-check everything above under the lock;
-          // park only if the poll caught nothing.
-          polled = true;
-          poll(mb, lock, std::min(dl, tnow + kPollBudget));
-        } else if (dl >= kNever) {
-          parked = true;
-          mb.cv.wait(lock);
-        } else {
-          parked = true;
-          mb.cv.wait_for(lock, std::chrono::duration<double>(dl - tnow));
-        }
-        const double waited = cxu::wall_time() - t0;
-        idle_s = (idle_s < 0.0 ? 0.0 : idle_s) + waited;
+        park(mb, seen, kNever, false);
+        continue;
       }
-      // A stopping PE takes nothing more: a live one stops only once its
-      // queue is empty, and a hung one must not run what it parked.
-      if (!stopping && !mb.queue.empty()) {
-        msg = std::move(mb.queue.front());
-        mb.queue.pop_front();
-        mb.ready.store(mb.queue.size(), std::memory_order_relaxed);
+      const double tnow = now();
+      if (mb.next_due.load(std::memory_order_relaxed) <= tnow) {
+        promote_due(mb, tnow);
       }
+      msg = take(mb);
+      if (msg) break;
+      if (!mb.empty()) {
+        // A sender has exchanged the tail but not linked yet.
+        std::this_thread::yield();
+        continue;
+      }
+      if (stop_.load(std::memory_order_acquire)) {
+        stopping = true;
+        break;
+      }
+      if (slot.agg && slot.agg->has_pending()) {
+        // Idle hook: out of work with open batches — seal and send
+        // them before going to sleep.
+        flush_idle = true;
+        break;
+      }
+      // The scheduler is about to sleep: bound the wait by the next
+      // deferred delivery and (with ft on) the next retransmit
+      // deadline of our own unacked sends.
+      double dl = mb.next_due.load(std::memory_order_relaxed);
+      if (me) dl = std::min(dl, me->sw.next_deadline());
+      if (dl <= tnow) break;  // a retransmit is due; handle below
+      const double t0 = cxu::wall_time();
+      if (poll_ && !polled) {
+        // Poll first, then re-check everything above; park only if the
+        // poll caught nothing.
+        polled = true;
+        poll(mb, seen, std::min(dl, tnow + kPollBudget));
+      } else {
+        parked = true;
+        park(mb, seen, dl, true);
+      }
+      const double waited = cxu::wall_time() - t0;
+      idle_s = (idle_s < 0.0 ? 0.0 : idle_s) + waited;
     }
     if (idle_s >= 0.0) {
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::Idle,

@@ -1,6 +1,20 @@
 #pragma once
 // ThreadedMachine — one OS thread per PE, per-PE MPSC mailbox, wall clock.
 //
+// A mailbox is an intrusive multi-producer, single-consumer queue
+// chained through Message::next. A send exchanges itself into the tail
+// and links its predecessor to it; the owning PE pops from the head.
+// Neither takes a lock. The mutex and cv serve the slow lane only:
+// delayed deliveries, waking a parked PE, stop, and a hung PE's park.
+// A PE announces that it is about to park by storing `sleeping`, then
+// re-checks the queue; a sender exchanges the tail, then loads
+// `sleeping` and takes the mutex to notify only if it is set. Both
+// sides are seq_cst, so either the PE sees the message or the sender
+// sees the PE parking. Reviving a PE pushes a cut marker through its
+// queue; the owner drops everything it pops before the marker, so
+// nothing from before the failure resurfaces and no other thread ever
+// pops.
+//
 // The machine hosts PEs [rank*ppn, (rank+1)*ppn) of a job of nranks*ppn
 // PEs. A single-process run is rank 0 of 1 with ppn = num_pes. In a
 // multi-process job (launched by cxrun) every message for a PE of
@@ -21,14 +35,14 @@
 // thread would stall unrelated traffic. Retransmit deadlines and
 // delayed deliveries are honored by bounding the mailbox cv wait.
 //
-// An idle PE polls before it parks: with the mailbox lock released it
-// yield-spins on the mailbox's post counter for up to kPollBudget (and
-// never past its next deadline), then parks on the cv only if nothing
-// was posted. A hand-off to a polling PE costs no futex wake. Polling
-// is on only when the job's threads on this host (every rank's PEs plus
-// its Link comm thread; cxrun starts all ranks locally) fit in the
-// host's hardware threads; an oversubscribed job parks at once. The
-// Link's comm thread follows the same rule for its epoll wait.
+// An idle PE polls before it parks: it yield-spins on its queue and the
+// slow lane's post counter for up to kPollBudget (and never past its
+// next deadline), then parks on the cv only if nothing arrived. A
+// hand-off to a polling PE costs no futex wake. Polling is on only when
+// the job's threads on this host (every rank's PEs plus its Link comm
+// thread; cxrun starts all ranks locally) fit in the host's hardware
+// threads; an oversubscribed job parks at once. The Link's comm thread
+// follows the same rule for its epoll wait.
 //
 // A PE sending to another rank while its mailbox holds nothing runnable
 // writes the frame to the socket itself (Link::ship); a busy PE leaves
@@ -44,7 +58,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -86,22 +99,80 @@ class ThreadedMachine final : public PipelineMachine {
 
   ThreadedMachine(const MachineConfig& cfg, const SocketParams& job);
 
-  struct Mailbox {
-    std::mutex mutex;
+  /// Destination of a revive's cut marker (a real message's dst_pe is
+  /// its mailbox's PE).
+  static constexpr std::int32_t kCutMarker = -2;
+
+  class Mailbox {
+   public:
+    Mailbox() noexcept : tail_(&stub_), head_(&stub_) {}
+    Mailbox(const Mailbox&) = delete;
+    Mailbox& operator=(const Mailbox&) = delete;
+    ~Mailbox() {
+      while (pop()) {
+      }
+    }
+
+    /// Any thread: append `m` (taking ownership). True when the owner
+    /// has announced that it is parking and must be notified.
+    bool push(Message* m) noexcept {
+      m->next.store(nullptr, std::memory_order_relaxed);
+      Message* prev = tail_.exchange(m, std::memory_order_seq_cst);
+      prev->next.store(m, std::memory_order_release);
+      return sleeping.load(std::memory_order_seq_cst);
+    }
+
+    /// Owner only: the oldest message, or null when the queue is empty
+    /// or its oldest push has exchanged the tail but not linked yet.
+    MessagePtr pop() noexcept {
+      Message* h = head_;
+      Message* next = h->next.load(std::memory_order_acquire);
+      if (h == &stub_) {
+        if (next == nullptr) return nullptr;
+        head_ = next;
+        h = next;
+        next = next->next.load(std::memory_order_acquire);
+      }
+      if (next == nullptr) {
+        if (h != tail_.load(std::memory_order_acquire)) return nullptr;
+        // `h` is the last message: queue the stub behind it so the
+        // head can move past `h`.
+        push(&stub_);
+        next = h->next.load(std::memory_order_acquire);
+        if (next == nullptr) return nullptr;
+      }
+      head_ = next;
+      return MessagePtr(h);
+    }
+
+    /// Owner only: nothing queued and no push in flight.
+    [[nodiscard]] bool empty() const noexcept {
+      return head_ == &stub_ &&
+             tail_.load(std::memory_order_seq_cst) == &stub_;
+    }
+
+    /// Set by the owner while it parks for messages (see push).
+    std::atomic<bool> sleeping{false};
+    /// Cut markers queued by discard_backlog and not yet popped.
+    std::atomic<int> cuts{0};
+
+    // ---- slow lane, under `mutex` ----
+    alignas(64) std::mutex mutex;
     std::condition_variable cv;
-    std::deque<MessagePtr> queue;
     /// Deferred deliveries (send_after, injected delays), keyed by the
-    /// absolute machine-time deadline; promoted into `queue` when due.
+    /// absolute machine-time deadline; pushed onto the queue when due.
     std::multimap<double, MessagePtr> delayed;
-    /// Bumped under `mutex` by every post that can end an idle wait
-    /// (enqueue, enqueue_delayed, wake, request_stop); a polling PE
-    /// reads it without the lock. Own cache line, so the poller's reads
-    /// do not bounce the mutex's line.
-    alignas(64) std::atomic<std::uint64_t> posts{0};
-    /// queue.size(), stored under `mutex` after every change; the
-    /// owning PE reads it without the lock to learn whether it has
-    /// anything else to run (deliver).
-    std::atomic<std::size_t> ready{0};
+    /// delayed's earliest deadline, read by the owner without the lock.
+    std::atomic<double> next_due{cx::ft::SenderWindow::kNever};
+    /// Bumped (release) under `mutex` by every slow-lane post that can
+    /// end an idle wait: enqueue_delayed, wake, request_stop.
+    std::atomic<std::uint64_t> posts{0};
+
+   private:
+    /// Producers' end; its own cache line, away from the owner's head.
+    alignas(64) std::atomic<Message*> tail_;
+    alignas(64) Message* head_;
+    Message stub_;
   };
 
   /// How long an idle PE polls its mailbox, and the Link's comm thread
@@ -115,18 +186,26 @@ class ThreadedMachine final : public PipelineMachine {
   static constexpr double kPollBudget = 100e-6;
 
   void pe_loop(int pe);
-  /// Spin with `lock` released until something is posted to `mb` or the
-  /// machine clock reaches `until`; returns with `lock` held again.
-  void poll(Mailbox& mb, std::unique_lock<std::mutex>& lock, double until);
+  /// The owner's next message, dropping what a pending cut discards.
+  static MessagePtr take(Mailbox& mb);
+  /// Push delayed deliveries due by `tnow` onto the queue.
+  static void promote_due(Mailbox& mb, double tnow);
+  /// Spin until a message or a slow-lane post (other than `seen`)
+  /// arrives, or the machine clock reaches `until`.
+  void poll(Mailbox& mb, std::uint64_t seen, double until);
+  /// Wait on the cv until a slow-lane post other than `seen` or the
+  /// clock reaching `until` — and, when `for_messages`, a message.
+  void park(Mailbox& mb, std::uint64_t seen, double until,
+            bool for_messages);
   void enqueue(int dst, MessagePtr msg);
   void enqueue_delayed(int dst, MessagePtr msg, double deadline);
   /// Hand `msg` to its local mailbox or to the Link, telling the Link
   /// whether the sending PE has nothing else to run.
   void deliver(MessagePtr msg);
-  /// True when local `pe`'s mailbox holds nothing runnable (read
-  /// without its lock; `pe` must be the calling PE).
+  /// True when local `pe`'s mailbox holds nothing runnable (`pe` must
+  /// be the calling PE).
   [[nodiscard]] bool nothing_runnable(int pe) const {
-    return mailboxes_[lidx(pe)]->ready.load(std::memory_order_relaxed) == 0;
+    return mailboxes_[lidx(pe)]->empty();
   }
   void retransmit_due(int pe, PeSlot& me);
   void arm_retry(int pe, const cx::ft::PendingSend& p) override;

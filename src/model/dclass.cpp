@@ -66,7 +66,7 @@ struct ClassRegistry {
     if (const ClassEntry* e = index.find(key, name)) return *e->table;
     tables.push_back(std::make_unique<MethodTable>(name));
     MethodTable* t = tables.back().get();
-    index.insert({key, t});
+    index.put({key, t});
     return *t;
   }
 };
@@ -109,7 +109,7 @@ DClass& DClass::define(const std::string& method,
   d.fn = std::move(fn);
   // def() of an existing method keeps its threaded flag.
   if (threaded) d.threaded = true;
-  if (fresh) table_->index.insert({cx::attr_key(method), &d});
+  if (fresh) table_->index.put({cx::attr_key(method), &d});
   return *this;
 }
 

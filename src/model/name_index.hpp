@@ -26,13 +26,8 @@ class NameIndex {
  public:
   [[nodiscard]] const E* find(cx::AttrKey key,
                               std::string_view name) const noexcept {
-    if (slots_.empty()) return nullptr;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = key & mask;; i = (i + 1) & mask) {
-      const E& e = slots_[i];
-      if (e.empty()) return nullptr;
-      if (e.key == key && e.name() == name) return &e;
-    }
+    const std::size_t i = probe(key, name);
+    return i == kNone ? nullptr : &slots_[i];
   }
 
   /// Add an entry whose name is not in the table yet.
@@ -48,12 +43,36 @@ class NameIndex {
     ++size_;
   }
 
+  /// Add `e`, or replace the entry that has its name.
+  void put(const E& e) {
+    const std::size_t i = probe(e.key, e.name());
+    if (i == kNone) {
+      insert(e);
+    } else {
+      slots_[i] = e;
+    }
+  }
+
   void clear() noexcept {
     slots_.clear();
     size_ = 0;
   }
 
  private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// The slot holding `name`, or kNone.
+  [[nodiscard]] std::size_t probe(cx::AttrKey key,
+                                  std::string_view name) const noexcept {
+    if (slots_.empty()) return kNone;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = key & mask;; i = (i + 1) & mask) {
+      const E& e = slots_[i];
+      if (e.empty()) return kNone;
+      if (e.key == key && e.name() == name) return i;
+    }
+  }
+
   void place(const E& e) noexcept {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = e.key & mask;
@@ -69,8 +88,8 @@ class NameIndex {
 /// by their owner's mutex, copy the current index, add to the copy and
 /// publish it with a release store. Superseded copies stay allocated
 /// (a reader may still be probing one), so memory grows with the square
-/// of the entry count: fine for class and method tables, which are
-/// filled once by the program's definitions.
+/// of the entry count: fine for class, method, reducer and task-function
+/// tables, which are filled once by the program's definitions.
 template <typename E>
 class PublishedIndex {
  public:
@@ -80,13 +99,13 @@ class PublishedIndex {
     return cur == nullptr ? nullptr : cur->find(key, name);
   }
 
-  /// Publish a copy with `e` added. The caller holds the writers' mutex
-  /// and `e`'s name is not in the index yet.
-  void insert(const E& e) {
+  /// Publish a copy with `e` added, replacing the entry that has its
+  /// name if there is one. The caller holds the writers' mutex.
+  void put(const E& e) {
     const NameIndex<E>* cur = cur_.load(std::memory_order_relaxed);
     auto next = cur == nullptr ? std::make_unique<NameIndex<E>>()
                                : std::make_unique<NameIndex<E>>(*cur);
-    next->insert(e);
+    next->put(e);
     cur_.store(next.get(), std::memory_order_release);
     versions_.push_back(std::move(next));
   }

@@ -1,9 +1,13 @@
 #include "model/reducers.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "model/name_index.hpp"
 
 namespace cpy {
 
@@ -52,11 +56,29 @@ void fold_numeric(Value& a, const Value& b, double (*op)(double, double),
   a = Value(op(a.as_real(), b.as_real()));
 }
 
+/// The two core combiners registered for one reducer name.
+struct Combiners {
+  std::string name;
+  cx::CombineId value = 0;
+  cx::CombineId tagged = 0;
+};
+
+struct CombinerEntry {
+  cx::AttrKey key = 0;
+  const Combiners* c = nullptr;
+  [[nodiscard]] bool empty() const noexcept { return c == nullptr; }
+  [[nodiscard]] std::string_view name() const noexcept { return c->name; }
+};
+
+/// Reducer folds and their combiner ids. Only registration takes the
+/// mutex; contribute_value resolves a name through `index` without it.
 struct DynRegistry {
   std::mutex mutex;
+  std::atomic<std::uint64_t> locks{0};
   std::unordered_map<std::string, DynFold> folds;
-  std::unordered_map<std::string, cx::CombineId> value_ids;
-  std::unordered_map<std::string, cx::CombineId> tagged_ids;
+  /// Written under `mutex`; a deque never moves its elements.
+  std::deque<Combiners> combiners;
+  detail::PublishedIndex<CombinerEntry> index;
 
   DynRegistry() {
     folds["sum"] = [](Value& a, const Value& b) {
@@ -103,24 +125,32 @@ struct DynRegistry {
     return r;
   }
 
-  /// Register the cx combiners for `name` (both Value and tagged
-  /// flavors). Caller holds `mutex`.
-  void register_combiners(const std::string& name) {
+  [[nodiscard]] std::unique_lock<std::mutex> lock() {
+    locks.fetch_add(1, std::memory_order_relaxed);
+    return std::unique_lock<std::mutex>(mutex);
+  }
+
+  /// The combiners of `name` (both Value and tagged flavors),
+  /// registered on first use. Caller holds lock().
+  const Combiners& register_combiners(const std::string& name) {
+    const cx::AttrKey key = cx::attr_key(name);
+    if (const CombinerEntry* e = index.find(key, name)) return *e->c;
     const auto it = folds.find(name);
     if (it == folds.end()) {
       throw std::out_of_range("unknown reducer: " + name);
     }
-    if (value_ids.count(name) == 0) {
-      const DynFold fold = it->second;
-      value_ids[name] = cx::add_reducer<Value>(
-          [fold](Value& a, const Value& b) { fold(a, b); });
-    }
-    if (tagged_ids.count(name) == 0) {
-      const DynFold fold = it->second;
-      using Tagged = std::pair<std::string, Value>;
-      tagged_ids[name] = cx::add_reducer<Tagged>(
-          [fold](Tagged& a, const Tagged& b) { fold(a.second, b.second); });
-    }
+    const DynFold fold = it->second;
+    using Tagged = std::pair<std::string, Value>;
+    // Braced initializers run in order: the Value id first.
+    combiners.push_back(Combiners{
+        name,
+        cx::add_reducer<Value>(
+            [fold](Value& a, const Value& b) { fold(a, b); }),
+        cx::add_reducer<Tagged>([fold](Tagged& a, const Tagged& b) {
+          fold(a.second, b.second);
+        })});
+    index.put({key, &combiners.back()});
+    return combiners.back();
   }
 };
 
@@ -131,7 +161,7 @@ struct DynRegistry {
 // for which reducer first.
 const bool g_builtins_registered = [] {
   auto& r = DynRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
+  const auto lock = r.lock();
   for (const char* name : {"concat", "first", "gather", "max", "min",
                            "none", "product", "sum"}) {
     r.register_combiners(name);
@@ -139,11 +169,20 @@ const bool g_builtins_registered = [] {
   return true;
 }();
 
+const Combiners& combiners_of(const std::string& name) {
+  auto& r = DynRegistry::instance();
+  if (const CombinerEntry* e = r.index.find(cx::attr_key(name), name)) {
+    return *e->c;
+  }
+  const auto lock = r.lock();
+  return r.register_combiners(name);
+}
+
 }  // namespace
 
 void add_dyn_reducer(const std::string& name, DynFold fold) {
   auto& r = DynRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
+  const auto lock = r.lock();
   r.folds[name] = std::move(fold);
   // Eager combiner registration: user reducers are added symmetrically
   // on every rank (pre-run application code), so registering here keeps
@@ -152,21 +191,17 @@ void add_dyn_reducer(const std::string& name, DynFold fold) {
 }
 
 cx::CombineId value_combiner(const std::string& name) {
-  auto& r = DynRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto cached = r.value_ids.find(name);
-  if (cached != r.value_ids.end()) return cached->second;
-  r.register_combiners(name);
-  return r.value_ids.at(name);
+  return combiners_of(name).value;
 }
 
 cx::CombineId tagged_combiner(const std::string& name) {
-  auto& r = DynRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto cached = r.tagged_ids.find(name);
-  if (cached != r.tagged_ids.end()) return cached->second;
-  r.register_combiners(name);
-  return r.tagged_ids.at(name);
+  return combiners_of(name).tagged;
 }
+
+namespace detail {
+std::uint64_t dyn_registry_locks() noexcept {
+  return DynRegistry::instance().locks.load(std::memory_order_relaxed);
+}
+}  // namespace detail
 
 }  // namespace cpy

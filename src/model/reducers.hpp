@@ -12,6 +12,7 @@
 //     if (b.length() > a.length()) a = b;
 //   });
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -33,5 +34,12 @@ cx::CombineId value_combiner(const std::string& name);
 /// reduction target is an entry method, so the method name travels with
 /// the data.
 cx::CombineId tagged_combiner(const std::string& name);
+
+namespace detail {
+/// How often the reducer registry's mutex has been taken. Only
+/// registrations take it; tests read this to show that no
+/// contribute_value does.
+std::uint64_t dyn_registry_locks() noexcept;
+}  // namespace detail
 
 }  // namespace cpy

@@ -111,7 +111,7 @@ FrameReader::Status FrameReader::next(const std::byte*& p, std::size_t& n,
     have_ += take;
     p += take;
     n -= take;
-    cx::trace::detail::g_wire.net_rx_copy_bytes.fetch_add(
+    cx::trace::detail::wire_local().net_rx_copy_bytes.fetch_add(
         take, std::memory_order_relaxed);
   }
   if (have_ < msg_->data.size()) return Status::NeedMore;

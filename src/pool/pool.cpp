@@ -1,13 +1,15 @@
 #include "pool/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "ft/ft.hpp"
+#include "model/name_index.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/options.hpp"
@@ -24,9 +26,27 @@ using cpy::Value;
 
 namespace {
 
+struct NamedFn {
+  std::string name;
+  TaskFn fn;
+};
+
+struct FnEntry {
+  cx::AttrKey key = 0;
+  const NamedFn* f = nullptr;
+  [[nodiscard]] bool empty() const noexcept { return f == nullptr; }
+  [[nodiscard]] std::string_view name() const noexcept { return f->name; }
+};
+
+/// Task functions by name. Only registration takes the mutex; a drain
+/// resolves its job's function through `index` without it.
 struct FnRegistry {
   std::mutex mutex;
-  std::unordered_map<std::string, TaskFn> fns;
+  std::atomic<std::uint64_t> locks{0};
+  /// Written under `mutex`. Registering a name again appends a new
+  /// function; the old one stays for a drain that still holds it.
+  std::deque<NamedFn> fns;
+  cpy::detail::PublishedIndex<FnEntry> index;
   static FnRegistry& instance() {
     static FnRegistry r;
     return r;
@@ -1092,19 +1112,26 @@ void ensure_classes() { static PoolClasses once; }
 
 void register_function(const std::string& name, TaskFn fn) {
   auto& r = FnRegistry::instance();
+  r.locks.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(r.mutex);
-  r.fns[name] = std::move(fn);
+  r.fns.push_back({name, std::move(fn)});
+  r.index.put({cx::attr_key(name), &r.fns.back()});
 }
 
 const TaskFn& lookup_function(const std::string& name) {
-  auto& r = FnRegistry::instance();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.fns.find(name);
-  if (it == r.fns.end()) {
+  const FnEntry* e =
+      FnRegistry::instance().index.find(cx::attr_key(name), name);
+  if (e == nullptr) {
     throw std::out_of_range("pool: unknown task function '" + name + "'");
   }
-  return it->second;
+  return e->f->fn;
 }
+
+namespace detail {
+std::uint64_t fn_registry_locks() noexcept {
+  return FnRegistry::instance().locks.load(std::memory_order_relaxed);
+}
+}  // namespace detail
 
 Value make_error(const std::string& message) {
   return Value::dict({{std::string(kErrorKey), Value(message)}});

@@ -72,6 +72,13 @@ void register_function(const std::string& name, TaskFn fn);
 /// Look up a task function; throws std::out_of_range if unknown.
 const TaskFn& lookup_function(const std::string& name);
 
+namespace detail {
+/// How often the task-function registry's mutex has been taken. Only
+/// register_function takes it; tests read this to show that no task
+/// lookup does.
+std::uint64_t fn_registry_locks() noexcept;
+}  // namespace detail
+
 /// Dict key marking a failed job's result value.
 inline constexpr const char* kErrorKey = "__pool_error__";
 

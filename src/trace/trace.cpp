@@ -17,8 +17,6 @@ namespace cx::trace {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-WireAtomics g_wire;
-WhenAtomics g_when;
 PoolAtomics g_pool;
 SectionAtomics g_section;
 std::atomic<std::uint64_t> g_future_late_drops{0};
@@ -44,6 +42,79 @@ void note_pool_task(int pe, std::uint64_t ns) noexcept {
   int b = 0;
   while ((1ull << (b + 1)) <= ns && b < kPoolLatBuckets - 1) ++b;
   t.lat_hist[b].fetch_add(1, std::memory_order_relaxed);
+}
+
+namespace {
+struct CounterSlots {
+  std::mutex mu;
+  std::vector<std::unique_ptr<CounterSlot>> all;  ///< live and free
+  std::vector<CounterSlot*> free;                 ///< zeroed, for reuse
+  /// Exited threads' counts; also where a thread counts once its slot
+  /// is gone (from thread-exit destructors that run after the owner's).
+  CounterSlot retired;
+};
+/// Never destroyed: threads may count during static destruction.
+CounterSlots& counter_slots_state() {
+  static auto* s = new CounterSlots;
+  return *s;
+}
+
+void fold_into(CounterSlot& to, CounterSlot& from) noexcept {
+  constexpr auto relaxed = std::memory_order_relaxed;
+#define CX_FOLD(f) \
+  to.wire.f.fetch_add(from.wire.f.exchange(0, relaxed), relaxed);
+  CX_WIRE_COUNTERS(CX_FOLD)
+#undef CX_FOLD
+  to.when.tests.fetch_add(from.when.tests.exchange(0, relaxed), relaxed);
+  to.when.hits.fetch_add(from.when.hits.exchange(0, relaxed), relaxed);
+  to.when.buffered.fetch_add(from.when.buffered.exchange(0, relaxed), relaxed);
+  to.when.skipped.fetch_add(from.when.skipped.exchange(0, relaxed), relaxed);
+  to.when.raise_high_water(from.when.high_water.exchange(0, relaxed));
+}
+
+/// Returns the thread's slot when the thread exits.
+struct CounterSlotOwner {
+  ~CounterSlotOwner() {
+    auto& st = counter_slots_state();
+    std::lock_guard<std::mutex> lock(st.mu);
+    fold_into(st.retired, *t_counters);
+    st.free.push_back(t_counters);
+    t_counters = &st.retired;
+  }
+};
+
+/// Every slot the stats read: the retired total, then each allocated
+/// one (free slots are zero). Caller holds `mu`.
+template <typename F>
+void for_each_slot(CounterSlots& st, F&& f) {
+  f(st.retired);
+  for (auto& c : st.all) f(*c);
+}
+}  // namespace
+
+CounterSlot& claim_counters() noexcept {
+  auto& st = counter_slots_state();
+  CounterSlot* c = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (!st.free.empty()) {
+      c = st.free.back();
+      st.free.pop_back();
+    } else {
+      st.all.push_back(std::make_unique<CounterSlot>());
+      c = st.all.back().get();
+    }
+  }
+  t_counters = c;
+  static thread_local CounterSlotOwner owner;
+  (void)owner;
+  return *c;
+}
+
+std::size_t counter_slots() noexcept {
+  auto& st = counter_slots_state();
+  std::lock_guard<std::mutex> lock(st.mu);
+  return st.all.size();
 }
 }  // namespace detail
 
@@ -146,99 +217,54 @@ std::uint64_t pool_job_records_dropped() {
 }
 
 WhenEngineStats when_stats() noexcept {
-  const auto& w = detail::g_when;
+  auto& st = detail::counter_slots_state();
+  std::lock_guard<std::mutex> lock(st.mu);
   WhenEngineStats s;
-  s.tests = w.tests.load(std::memory_order_relaxed);
-  s.hits = w.hits.load(std::memory_order_relaxed);
-  s.buffered = w.buffered.load(std::memory_order_relaxed);
-  s.skipped = w.skipped.load(std::memory_order_relaxed);
-  s.high_water = w.high_water.load(std::memory_order_relaxed);
+  detail::for_each_slot(st, [&s](const detail::CounterSlot& c) {
+    const auto& w = c.when;
+    s.tests += w.tests.load(std::memory_order_relaxed);
+    s.hits += w.hits.load(std::memory_order_relaxed);
+    s.buffered += w.buffered.load(std::memory_order_relaxed);
+    s.skipped += w.skipped.load(std::memory_order_relaxed);
+    s.high_water =
+        std::max(s.high_water, w.high_water.load(std::memory_order_relaxed));
+  });
   return s;
 }
 
 void reset_when_stats() noexcept {
-  auto& w = detail::g_when;
-  w.tests.store(0, std::memory_order_relaxed);
-  w.hits.store(0, std::memory_order_relaxed);
-  w.buffered.store(0, std::memory_order_relaxed);
-  w.skipped.store(0, std::memory_order_relaxed);
-  w.high_water.store(0, std::memory_order_relaxed);
+  auto& st = detail::counter_slots_state();
+  std::lock_guard<std::mutex> lock(st.mu);
+  detail::for_each_slot(st, [](detail::CounterSlot& c) {
+    auto& w = c.when;
+    w.tests.store(0, std::memory_order_relaxed);
+    w.hits.store(0, std::memory_order_relaxed);
+    w.buffered.store(0, std::memory_order_relaxed);
+    w.skipped.store(0, std::memory_order_relaxed);
+    w.high_water.store(0, std::memory_order_relaxed);
+  });
 }
 
 WireStats wire_stats() noexcept {
-  const auto& w = detail::g_wire;
+  auto& st = detail::counter_slots_state();
+  std::lock_guard<std::mutex> lock(st.mu);
   WireStats s;
-  s.envelopes = w.envelopes.load(std::memory_order_relaxed);
-  s.bytes_packed = w.bytes_packed.load(std::memory_order_relaxed);
-  s.sbo_payloads = w.sbo_payloads.load(std::memory_order_relaxed);
-  s.buf_allocs = w.buf_allocs.load(std::memory_order_relaxed);
-  s.buf_hits = w.buf_hits.load(std::memory_order_relaxed);
-  s.buf_recycled = w.buf_recycled.load(std::memory_order_relaxed);
-  s.msg_allocs = w.msg_allocs.load(std::memory_order_relaxed);
-  s.msg_hits = w.msg_hits.load(std::memory_order_relaxed);
-  s.msg_recycled = w.msg_recycled.load(std::memory_order_relaxed);
-  s.env_allocs = w.env_allocs.load(std::memory_order_relaxed);
-  s.env_hits = w.env_hits.load(std::memory_order_relaxed);
-  s.transport_msgs = w.transport_msgs.load(std::memory_order_relaxed);
-  s.agg_batches = w.agg_batches.load(std::memory_order_relaxed);
-  s.agg_msgs = w.agg_msgs.load(std::memory_order_relaxed);
-  s.agg_flush_bytes = w.agg_flush_bytes.load(std::memory_order_relaxed);
-  s.agg_flush_count = w.agg_flush_count.load(std::memory_order_relaxed);
-  s.agg_flush_idle = w.agg_flush_idle.load(std::memory_order_relaxed);
-  s.agg_flush_order = w.agg_flush_order.load(std::memory_order_relaxed);
-  s.net_tx_copy_bytes = w.net_tx_copy_bytes.load(std::memory_order_relaxed);
-  s.net_rx_copy_bytes = w.net_rx_copy_bytes.load(std::memory_order_relaxed);
-  s.net_pe_frames = w.net_pe_frames.load(std::memory_order_relaxed);
-  s.net_pe_bytes = w.net_pe_bytes.load(std::memory_order_relaxed);
-  s.net_comm_frames = w.net_comm_frames.load(std::memory_order_relaxed);
-  s.net_comm_bytes = w.net_comm_bytes.load(std::memory_order_relaxed);
-  s.net_partial_writes = w.net_partial_writes.load(std::memory_order_relaxed);
-  s.net_epollout_arms = w.net_epollout_arms.load(std::memory_order_relaxed);
-  s.net_wake_pokes = w.net_wake_pokes.load(std::memory_order_relaxed);
-  s.net_poll_hits = w.net_poll_hits.load(std::memory_order_relaxed);
-  s.net_blocking_waits = w.net_blocking_waits.load(std::memory_order_relaxed);
-  s.net_rx_frames = w.net_rx_frames.load(std::memory_order_relaxed);
-  s.net_rx_bytes = w.net_rx_bytes.load(std::memory_order_relaxed);
-  s.net_decode_errors = w.net_decode_errors.load(std::memory_order_relaxed);
-  s.net_doorbells = w.net_doorbells.load(std::memory_order_relaxed);
+  detail::for_each_slot(st, [&s](const detail::CounterSlot& c) {
+#define CX_SUM(f) s.f += c.wire.f.load(std::memory_order_relaxed);
+    CX_WIRE_COUNTERS(CX_SUM)
+#undef CX_SUM
+  });
   return s;
 }
 
 void reset_wire_stats() noexcept {
-  auto& w = detail::g_wire;
-  w.envelopes.store(0, std::memory_order_relaxed);
-  w.bytes_packed.store(0, std::memory_order_relaxed);
-  w.sbo_payloads.store(0, std::memory_order_relaxed);
-  w.buf_allocs.store(0, std::memory_order_relaxed);
-  w.buf_hits.store(0, std::memory_order_relaxed);
-  w.buf_recycled.store(0, std::memory_order_relaxed);
-  w.msg_allocs.store(0, std::memory_order_relaxed);
-  w.msg_hits.store(0, std::memory_order_relaxed);
-  w.msg_recycled.store(0, std::memory_order_relaxed);
-  w.env_allocs.store(0, std::memory_order_relaxed);
-  w.env_hits.store(0, std::memory_order_relaxed);
-  w.transport_msgs.store(0, std::memory_order_relaxed);
-  w.agg_batches.store(0, std::memory_order_relaxed);
-  w.agg_msgs.store(0, std::memory_order_relaxed);
-  w.agg_flush_bytes.store(0, std::memory_order_relaxed);
-  w.agg_flush_count.store(0, std::memory_order_relaxed);
-  w.agg_flush_idle.store(0, std::memory_order_relaxed);
-  w.agg_flush_order.store(0, std::memory_order_relaxed);
-  w.net_tx_copy_bytes.store(0, std::memory_order_relaxed);
-  w.net_rx_copy_bytes.store(0, std::memory_order_relaxed);
-  w.net_pe_frames.store(0, std::memory_order_relaxed);
-  w.net_pe_bytes.store(0, std::memory_order_relaxed);
-  w.net_comm_frames.store(0, std::memory_order_relaxed);
-  w.net_comm_bytes.store(0, std::memory_order_relaxed);
-  w.net_partial_writes.store(0, std::memory_order_relaxed);
-  w.net_epollout_arms.store(0, std::memory_order_relaxed);
-  w.net_wake_pokes.store(0, std::memory_order_relaxed);
-  w.net_poll_hits.store(0, std::memory_order_relaxed);
-  w.net_blocking_waits.store(0, std::memory_order_relaxed);
-  w.net_rx_frames.store(0, std::memory_order_relaxed);
-  w.net_rx_bytes.store(0, std::memory_order_relaxed);
-  w.net_decode_errors.store(0, std::memory_order_relaxed);
-  w.net_doorbells.store(0, std::memory_order_relaxed);
+  auto& st = detail::counter_slots_state();
+  std::lock_guard<std::mutex> lock(st.mu);
+  detail::for_each_slot(st, [](detail::CounterSlot& c) {
+#define CX_ZERO(f) c.wire.f.store(0, std::memory_order_relaxed);
+    CX_WIRE_COUNTERS(CX_ZERO)
+#undef CX_ZERO
+  });
 }
 
 SectionStats section_stats() noexcept {

@@ -26,6 +26,7 @@
 // hooks compile out entirely with -DCHARMX_TRACE_DISABLED.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -161,8 +162,8 @@ struct Counters {
 // The wire layer (single-pass envelopes, pooled buffers) reports its
 // allocation behaviour here so benches can compute allocs-per-send,
 // bytes-per-send and pool hit rate. Unlike events, these are always on
-// (plain relaxed atomic adds — cheap next to the heap traffic they
-// count) so --wire-pool A/B runs work without --trace.
+// (relaxed atomic adds to the counting thread's own slot, see
+// CounterSlot) so --wire-pool A/B runs work without --trace.
 
 struct WireStats {
   std::uint64_t envelopes = 0;     ///< messages built by the wire builder
@@ -238,8 +239,8 @@ struct WireStats {
 // The condition-aware delivery engine (core/when.hpp, delivery.cpp)
 // reports its work here: predicate evaluations, buffered deliveries,
 // releases, and how many re-tests dependency tracking skipped. Always on
-// (relaxed atomic adds, batched per retest pass) so bench/micro_when A/B
-// runs work without --trace.
+// (relaxed atomic adds to the counting thread's own slot, batched per
+// retest pass) so bench/micro_when A/B runs work without --trace.
 
 struct WhenEngineStats {
   std::uint64_t tests = 0;      ///< when-predicate evaluations
@@ -258,6 +259,7 @@ struct WhenEngineStats {
 };
 
 namespace detail {
+/// The when-engine counters of one thread (see my_counters below).
 struct WhenAtomics {
   std::atomic<std::uint64_t> tests{0};
   std::atomic<std::uint64_t> hits{0};
@@ -273,7 +275,6 @@ struct WhenAtomics {
     }
   }
 };
-extern WhenAtomics g_when;
 }  // namespace detail
 
 /// Snapshot of the condition-engine counters since the last
@@ -409,44 +410,54 @@ void pool_job_note(const PoolJobRecord& rec);
 [[nodiscard]] std::uint64_t pool_job_records_dropped();
 
 namespace detail {
+// Every WireStats field, in declaration order.
+#define CX_WIRE_COUNTERS(X) X(envelopes) X(bytes_packed) X(sbo_payloads) \
+  X(buf_allocs) X(buf_hits) X(buf_recycled) X(msg_allocs) X(msg_hits) \
+  X(msg_recycled) X(env_allocs) X(env_hits) X(transport_msgs) X(agg_batches) \
+  X(agg_msgs) X(agg_flush_bytes) X(agg_flush_count) X(agg_flush_idle) \
+  X(agg_flush_order) X(net_tx_copy_bytes) X(net_rx_copy_bytes) \
+  X(net_pe_frames) X(net_pe_bytes) X(net_comm_frames) X(net_comm_bytes) \
+  X(net_partial_writes) X(net_epollout_arms) X(net_wake_pokes) \
+  X(net_poll_hits) X(net_blocking_waits) X(net_rx_frames) X(net_rx_bytes) \
+  X(net_decode_errors) X(net_doorbells)
+
+/// The wire counters of one thread (see my_counters below).
 struct WireAtomics {
-  std::atomic<std::uint64_t> envelopes{0};
-  std::atomic<std::uint64_t> bytes_packed{0};
-  std::atomic<std::uint64_t> sbo_payloads{0};
-  std::atomic<std::uint64_t> buf_allocs{0};
-  std::atomic<std::uint64_t> buf_hits{0};
-  std::atomic<std::uint64_t> buf_recycled{0};
-  std::atomic<std::uint64_t> msg_allocs{0};
-  std::atomic<std::uint64_t> msg_hits{0};
-  std::atomic<std::uint64_t> msg_recycled{0};
-  std::atomic<std::uint64_t> env_allocs{0};
-  std::atomic<std::uint64_t> env_hits{0};
-  std::atomic<std::uint64_t> transport_msgs{0};
-  std::atomic<std::uint64_t> agg_batches{0};
-  std::atomic<std::uint64_t> agg_msgs{0};
-  std::atomic<std::uint64_t> agg_flush_bytes{0};
-  std::atomic<std::uint64_t> agg_flush_count{0};
-  std::atomic<std::uint64_t> agg_flush_idle{0};
-  std::atomic<std::uint64_t> agg_flush_order{0};
-  std::atomic<std::uint64_t> net_tx_copy_bytes{0};
-  std::atomic<std::uint64_t> net_rx_copy_bytes{0};
-  // Touched only on the Link path; own cache line, away from the
-  // per-send counters above.
-  alignas(64) std::atomic<std::uint64_t> net_pe_frames{0};
-  std::atomic<std::uint64_t> net_pe_bytes{0};
-  std::atomic<std::uint64_t> net_comm_frames{0};
-  std::atomic<std::uint64_t> net_comm_bytes{0};
-  std::atomic<std::uint64_t> net_partial_writes{0};
-  std::atomic<std::uint64_t> net_epollout_arms{0};
-  std::atomic<std::uint64_t> net_wake_pokes{0};
-  std::atomic<std::uint64_t> net_poll_hits{0};
-  std::atomic<std::uint64_t> net_blocking_waits{0};
-  std::atomic<std::uint64_t> net_rx_frames{0};
-  std::atomic<std::uint64_t> net_rx_bytes{0};
-  std::atomic<std::uint64_t> net_decode_errors{0};
-  std::atomic<std::uint64_t> net_doorbells{0};
+#define CX_WIRE_ATOMIC(f) std::atomic<std::uint64_t> f{0};
+  CX_WIRE_COUNTERS(CX_WIRE_ATOMIC)
+#undef CX_WIRE_ATOMIC
 };
-extern WireAtomics g_wire;
+
+/// One thread's wire and when counters, on cache lines no other thread
+/// writes. A thread claims a slot on its first count; when it exits it
+/// folds the slot into a retired total and returns it for reuse, so the
+/// slot count stays bounded by the threads alive at once. The stats
+/// functions sum the slots and the retired total under a mutex the
+/// counting path never takes.
+struct alignas(64) CounterSlot {
+  WireAtomics wire;
+  WhenAtomics when;
+};
+
+/// The calling thread's slot: null until its first count.
+inline thread_local CounterSlot* t_counters = nullptr;
+
+/// Claim a slot for the calling thread (first count only).
+CounterSlot& claim_counters() noexcept;
+
+[[nodiscard]] inline CounterSlot& my_counters() noexcept {
+  CounterSlot* c = t_counters;
+  return c != nullptr ? *c : claim_counters();
+}
+[[nodiscard]] inline WireAtomics& wire_local() noexcept {
+  return my_counters().wire;
+}
+[[nodiscard]] inline WhenAtomics& when_local() noexcept {
+  return my_counters().when;
+}
+
+/// Slots allocated so far, live and free.
+[[nodiscard]] std::size_t counter_slots() noexcept;
 }  // namespace detail
 
 /// Snapshot of the wire counters accumulated since the last

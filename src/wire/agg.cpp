@@ -10,7 +10,7 @@ namespace cx::wire {
 
 namespace {
 
-using cx::trace::detail::g_wire;
+using cx::trace::detail::wire_local;
 
 std::atomic<bool> g_agg_enabled{false};
 
@@ -20,16 +20,16 @@ AggConfig g_agg_cfg;
 void note_flush(AggFlush why) noexcept {
   switch (why) {
     case AggFlush::Bytes:
-      g_wire.agg_flush_bytes.fetch_add(1, std::memory_order_relaxed);
+      wire_local().agg_flush_bytes.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Count:
-      g_wire.agg_flush_count.fetch_add(1, std::memory_order_relaxed);
+      wire_local().agg_flush_count.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Idle:
-      g_wire.agg_flush_idle.fetch_add(1, std::memory_order_relaxed);
+      wire_local().agg_flush_idle.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Ordering:
-      g_wire.agg_flush_order.fetch_add(1, std::memory_order_relaxed);
+      wire_local().agg_flush_order.fetch_add(1, std::memory_order_relaxed);
       break;
   }
 }
@@ -104,7 +104,7 @@ bool PeAggregator::absorb(cxm::MessagePtr msg) {
   if (len > 0) std::memcpy(out + kAggRecordBytes, msg->data.data(), len);
   b.bytes += need;
   b.count += 1;
-  g_wire.agg_msgs.fetch_add(1, std::memory_order_relaxed);
+  wire_local().agg_msgs.fetch_add(1, std::memory_order_relaxed);
   msg.reset();  // absorbed; the pooled Message recycles immediately
 
   if (b.count >= cfg_.flush_count) {
@@ -127,7 +127,7 @@ void PeAggregator::seal(DstAgg& d, AggFlush why) {
   ClassBuf& b = d.cls[d.active];
   std::memcpy(b.msg->data.data(), &b.count, sizeof(b.count));
   b.msg->data.resize_discard(b.bytes);  // shrink: keeps block + contents
-  g_wire.agg_batches.fetch_add(1, std::memory_order_relaxed);
+  wire_local().agg_batches.fetch_add(1, std::memory_order_relaxed);
   note_flush(why);
   ready_.push_back(std::move(b.msg));
   b.bytes = 0;

@@ -30,7 +30,7 @@ namespace cx::wire {
 namespace detail {
 
 inline void note_envelope(std::size_t bytes, bool inline_payload) noexcept {
-  auto& w = cx::trace::detail::g_wire;
+  auto& w = cx::trace::detail::wire_local();
   w.envelopes.fetch_add(1, std::memory_order_relaxed);
   w.bytes_packed.fetch_add(bytes, std::memory_order_relaxed);
   if (inline_payload) {

@@ -17,7 +17,7 @@ void configure_agg_from_options(const cxu::Options& opt);
 
 namespace {
 
-using cx::trace::detail::g_wire;
+using cx::trace::detail::wire_local;
 
 constexpr int kNumClasses = 13;  // 256 .. 1 MiB, powers of two
 constexpr std::size_t kBatch = 16;
@@ -195,21 +195,21 @@ std::byte* alloc_block(std::size_t size, std::size_t* cap) {
     *cap = (size + kLargeGrain - 1) / kLargeGrain * kLargeGrain;
     if (g_pool_enabled.load(std::memory_order_relaxed)) {
       if (std::byte* p = take_large(cap)) {
-        g_wire.buf_hits.fetch_add(1, std::memory_order_relaxed);
+        wire_local().buf_hits.fetch_add(1, std::memory_order_relaxed);
         return p;
       }
     }
-    g_wire.buf_allocs.fetch_add(1, std::memory_order_relaxed);
+    wire_local().buf_allocs.fetch_add(1, std::memory_order_relaxed);
     return static_cast<std::byte*>(::operator new(*cap));
   }
   *cap = class_size(cls);
   if (g_pool_enabled.load(std::memory_order_relaxed)) {
     if (std::byte* p = take_cached(cls)) {
-      g_wire.buf_hits.fetch_add(1, std::memory_order_relaxed);
+      wire_local().buf_hits.fetch_add(1, std::memory_order_relaxed);
       return p;
     }
   }
-  g_wire.buf_allocs.fetch_add(1, std::memory_order_relaxed);
+  wire_local().buf_allocs.fetch_add(1, std::memory_order_relaxed);
   return static_cast<std::byte*>(::operator new(*cap));
 }
 
@@ -218,7 +218,7 @@ void free_block(std::byte* p, std::size_t cap) noexcept {
   if (g_pool_enabled.load(std::memory_order_relaxed)) {
     const int cls = class_for_capacity(cap);
     if (cls >= 0 ? put_cached(cls, p) : put_large(p, cap)) {
-      g_wire.buf_recycled.fetch_add(1, std::memory_order_relaxed);
+      wire_local().buf_recycled.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
@@ -229,13 +229,13 @@ void* alloc_msg(std::size_t size) {
   if (size <= kMsgBlock && g_pool_enabled.load(std::memory_order_relaxed)) {
     const int cls = class_for_request(kMsgBlock);
     if (std::byte* p = take_cached(cls)) {
-      g_wire.msg_hits.fetch_add(1, std::memory_order_relaxed);
+      wire_local().msg_hits.fetch_add(1, std::memory_order_relaxed);
       return p;
     }
-    g_wire.msg_allocs.fetch_add(1, std::memory_order_relaxed);
+    wire_local().msg_allocs.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(kMsgBlock);
   }
-  g_wire.msg_allocs.fetch_add(1, std::memory_order_relaxed);
+  wire_local().msg_allocs.fetch_add(1, std::memory_order_relaxed);
   return ::operator new(size <= kMsgBlock ? kMsgBlock : size);
 }
 
@@ -243,7 +243,7 @@ void free_msg(void* p, std::size_t size) noexcept {
   if (p == nullptr) return;
   if (size <= kMsgBlock && g_pool_enabled.load(std::memory_order_relaxed) &&
       put_cached(class_for_request(kMsgBlock), static_cast<std::byte*>(p))) {
-    g_wire.msg_recycled.fetch_add(1, std::memory_order_relaxed);
+    wire_local().msg_recycled.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   ::operator delete(p);

@@ -128,7 +128,8 @@ TEST(Reduction, MultipleReductionsInFlight) {
 // Custom reducer (paper §II-F1): concatenate strings.
 struct Concatenator : Chare {
   void speak(CombineId reducer, Future<std::string> target) {
-    std::string word = "w" + std::to_string(this_index()[0]);
+    std::string word = "w";
+    word += std::to_string(this_index()[0]);
     contribute(word, reducer, cb(target));
   }
 };

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
@@ -525,6 +526,154 @@ TEST(Liveness, TransitionsMatchAcrossBackends) {
   EXPECT_EQ(threaded.notices, sim.notices);
   EXPECT_EQ(threaded.dead_drops, sim.dead_drops);
   liveness::check_transitions(threaded);
+}
+
+// ---------------------------------------------------------------------------
+// The lock-free mailbox: many producers, the park handshake, the revive
+// cut, and stop with a backlog.
+
+TEST(Mailbox, ConcurrentProducersLoseNothingAndKeepTheirOrder) {
+  constexpr int kProducers = 3;
+  constexpr std::int64_t kPerProducer = 100'000;
+  auto m = make_machine(threaded(2));
+  std::vector<std::int64_t> next(kProducers, 0);  // PE 1's thread only
+  std::int64_t received = 0;
+  bool in_order = true;
+  const auto h = m->register_handler([&](MessagePtr msg) {
+    const auto v = pup::from_bytes<std::int64_t>(msg->data);
+    auto& want = next[static_cast<std::size_t>(v / kPerProducer)];
+    in_order = in_order && v % kPerProducer == want;
+    ++want;
+    if (++received == kProducers * kPerProducer) m->stop();
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&m, h, p] {
+      for (std::int64_t i = 0; i < kPerProducer; ++i) {
+        auto msg = std::make_unique<Message>();
+        msg->handler = h;
+        msg->dst_pe = 1;
+        std::int64_t v = std::int64_t{p} * kPerProducer + i;
+        msg->data = pup::to_bytes(v);
+        m->send(std::move(msg));
+      }
+    });
+  }
+  const bool fired = run_bounded(*m);
+  for (auto& t : producers) t.join();
+  EXPECT_FALSE(fired) << "only " << received << " messages arrived";
+  EXPECT_EQ(received, kProducers * kPerProducer);
+  EXPECT_TRUE(in_order) << "a producer's messages arrived out of order";
+}
+
+TEST(Mailbox, SendRacingTheParkIsDeliveredPromptly) {
+  // Each round sends after a random pause of up to twice the poll
+  // budget, so sends land while the PE polls, while it announces its
+  // park and after it has parked. A lost wake shows as a round that
+  // waits past 100 ms.
+  constexpr int kRounds = 10'000;
+  auto m = make_machine(threaded(1));
+  std::atomic<int> got{-1};
+  const auto h = m->register_handler([&](MessagePtr msg) {
+    got.store(pup::from_bytes<int>(msg->data), std::memory_order_release);
+  });
+  int late = -1;
+  std::thread producer([&] {
+    std::uint64_t x = 88172645463325252ull;  // xorshift64
+    for (int i = 0; i < kRounds; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const auto pause = std::chrono::nanoseconds(x % 200'000);
+      const auto t0 = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - t0 < pause) {
+      }
+      m->send(msg_to(0, h, i));
+      const auto sent = std::chrono::steady_clock::now();
+      while (got.load(std::memory_order_acquire) != i) {
+        if (std::chrono::steady_clock::now() - sent >
+            std::chrono::milliseconds(100)) {
+          late = i;
+          m->stop();
+          return;
+        }
+        std::this_thread::yield();
+      }
+    }
+    m->stop();
+  });
+  m->run();
+  producer.join();
+  EXPECT_EQ(late, -1) << "round " << late << " was not delivered in 100 ms";
+}
+
+TEST(Mailbox, ReviveDropsExactlyThePreReviveBacklog) {
+  // PE 0 hangs PE 1, queues a backlog for it, revives it and sends more.
+  // Only what was sent after the revive may run on PE 1.
+  constexpr int kBefore = 500;
+  constexpr int kAfter = 300;
+  auto m = make_machine(threaded(2));
+  std::atomic<int> before_runs{0};
+  std::atomic<int> after_runs{0};
+  std::atomic<int> backlog_drops{0};
+  std::uint32_t h = 0;
+  h = m->register_handler([&](MessagePtr msg) {
+    const int tag = pup::from_bytes<int>(msg->data);
+    if (m->current_pe() == 0) {
+      m->inject_hang(1);
+      sleep_s(0.02);  // PE 1 sees the hang and parks
+      for (int i = 0; i < kBefore; ++i) {
+        auto pre = msg_to(1, h, 1);
+        // A by-reference payload that dies unrun reports its drop.
+        pre->local = &backlog_drops;
+        pre->local_drop = +[](void* p) noexcept {
+          static_cast<std::atomic<int>*>(p)->fetch_add(1);
+        };
+        m->send(std::move(pre));
+      }
+      m->revive_pe(1);
+      for (int i = 0; i < kAfter; ++i) m->send(msg_to(1, h, 2));
+      return;
+    }
+    if (tag == 1) {
+      before_runs.fetch_add(1);
+      (void)msg->take_local();
+    } else if (after_runs.fetch_add(1) + 1 == kAfter) {
+      m->stop();
+    }
+  });
+  m->send(msg_to(0, h, 0));
+  EXPECT_FALSE(run_bounded(*m));
+  EXPECT_EQ(before_runs.load(), 0);
+  EXPECT_EQ(after_runs.load(), kAfter);
+  EXPECT_EQ(backlog_drops.load(), kBefore);
+}
+
+TEST(Mailbox, StopWithAQueuedBacklogExitsAndFreesIt) {
+  constexpr int kQueued = 1000;
+  std::atomic<int> drops{0};
+  int runs = 0;
+  {
+    auto m = make_machine(threaded(1));
+    const auto h = m->register_handler([&](MessagePtr msg) {
+      ++runs;
+      (void)msg->take_local();
+      m->stop();
+    });
+    for (int i = 0; i < kQueued; ++i) {
+      auto msg = std::make_unique<Message>();
+      msg->handler = h;
+      msg->dst_pe = 0;
+      msg->local = &drops;
+      msg->local_drop = +[](void* p) noexcept {
+        static_cast<std::atomic<int>*>(p)->fetch_add(1);
+      };
+      m->send(std::move(msg));
+    }
+    EXPECT_FALSE(run_bounded(*m));
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(drops.load(), kQueued - 1) << "the machine leaked its backlog";
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ struct CounterClass {
     cls.def("my_index", {}, [](DChare& self, Args&) {
       return self["thisIndex"];
     });
-    cls.def("add_count", {"target"}, [](DChare& self, Args&) {
+    cls.def("add_count", {"target"}, [](DChare&, Args&) {
       return Value::none();  // redefined below in reduction tests
     });
   }

@@ -2,12 +2,14 @@
 // alternate typed and dynamic messages while a class gains a method
 // mid-run (as the pool defines its classes lazily). No send or dispatch
 // may take the class registry's mutex, and the new method must be
-// dispatched with its threaded flag.
+// dispatched with its threaded flag. Dynamic reductions likewise
+// resolve their reducer without the reducer registry's mutex.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fiber/fiber.hpp"
@@ -149,6 +151,14 @@ TEST(MethodTable, NoRegistryLockOnSendOrDispatchAndLateMethodIsThreaded) {
   });
 }
 
+/// "m<i>", appended rather than concatenated (GCC 12 warns falsely
+/// about `"m" + std::to_string(i)` under -Wrestrict).
+std::string method_name(int i) {
+  std::string name = "m";
+  name += std::to_string(i);
+  return name;
+}
+
 TEST(MethodTable, LookupsSeeLaterDefinitionsThroughOneHandle) {
   DClass cls("TableLater");
   const MethodTable* t = find_class("TableLater");
@@ -157,16 +167,16 @@ TEST(MethodTable, LookupsSeeLaterDefinitionsThroughOneHandle) {
   EXPECT_EQ(find_method(t, "m0"), nullptr);
   // Enough methods to grow the index several times.
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "m" + std::to_string(i);
+    const std::string name = method_name(i);
     if (i % 2 == 0) {
       cls.def(name, {}, [](DChare&, Args&) { return Value::none(); });
     } else {
       cls.def_threaded(name, {}, [](DChare&, Args&) { return Value::none(); });
     }
     for (int j = 0; j <= i; ++j) {
-      const MethodDef* d = find_method(t, "m" + std::to_string(j));
+      const MethodDef* d = find_method(t, method_name(j));
       ASSERT_NE(d, nullptr) << j;
-      EXPECT_EQ(d->name, "m" + std::to_string(j));
+      EXPECT_EQ(d->name, method_name(j));
       EXPECT_EQ(d->threaded, j % 2 == 1);
     }
   }
@@ -179,6 +189,53 @@ TEST(MethodTable, LookupsSeeLaterDefinitionsThroughOneHandle) {
   EXPECT_EQ(find_method(t, "m1"), m1);
   EXPECT_EQ(m1->params.size(), 1u);
   EXPECT_TRUE(m1->threaded) << "def() keeps an existing method's flag";
+}
+
+// One reduction target per round, published before the broadcast that
+// starts the round (the PEs read it after receiving that broadcast).
+DTarget g_red_target;
+Value g_red_done;
+
+struct SummerClass {
+  SummerClass() {
+    DClass cls("TableSummer");
+    cls.def("go", {}, [](DChare& self, Args&) {
+      self.contribute_value(Value(self.this_index()[0]), "sum",
+                            g_red_target);
+      return Value::none();
+    });
+    cls.def("receive", {"result"}, [](DChare&, Args& a) {
+      future_from(g_red_done).send(a[0]);
+      return Value::none();
+    });
+  }
+};
+const SummerClass summer_class;
+
+TEST(MethodTable, DynamicReductionsTakeNoRegistryLock) {
+  run_program(threaded_cfg(kPes), [] {
+    auto arr = create_array("TableSummer", {kPes});
+    // Even rounds reduce to a future (the Value combiner), odd ones to
+    // an entry method (the tagged combiner).
+    const auto round = [&arr](int r) {
+      auto f = cx::make_future<Value>();
+      if (r % 2 == 0) {
+        g_red_target = to_target(f);
+      } else {
+        g_red_done = to_value(f);
+        g_red_target = arr[0].target("receive");
+      }
+      arr.broadcast("go");
+      return f.get().as_int();
+    };
+    const std::uint64_t locks0 = detail::dyn_registry_locks();
+    for (int r = 0; r < 20; ++r) {
+      EXPECT_EQ(round(r), kPes * (kPes - 1) / 2) << "round " << r;
+    }
+    EXPECT_EQ(detail::dyn_registry_locks(), locks0)
+        << "a contribute_value took the reducer registry's mutex";
+    cx::exit();
+  });
 }
 
 }  // namespace

@@ -470,4 +470,32 @@ TEST(PoolEngine, FlagsValidateStrictly) {
       parse_flags({"--pool-beat-ms", "soon"})));
 }
 
+TEST(Pool, TaskLookupsTakeNoRegistryLock) {
+  run_program(threaded_cfg(4), [] {
+    Pool pool;
+    List tasks;
+    for (int i = 0; i < 500; ++i) tasks.emplace_back(i);
+    const std::uint64_t locks0 = cxpool::detail::fn_registry_locks();
+    const Value r = pool.map("square", 3, std::move(tasks));
+    EXPECT_EQ(cxpool::detail::fn_registry_locks(), locks0)
+        << "a drain took the task-function registry's mutex";
+    ASSERT_EQ(r.length(), 500u);
+    EXPECT_EQ(r.item(Value(499)).as_int(), 499 * 499);
+    cx::exit();
+  });
+}
+
+TEST(Pool, ReRegisteredFunctionReplacesTheOld) {
+  cxpool::register_function("pool_rereg",
+                            [](const Value&) { return Value(1); });
+  const cxpool::TaskFn& old_fn = cxpool::lookup_function("pool_rereg");
+  cxpool::register_function("pool_rereg",
+                            [](const Value&) { return Value(2); });
+  EXPECT_EQ(cxpool::lookup_function("pool_rereg")(Value(0)).as_int(), 2);
+  // A drain that resolved the old function keeps a valid one.
+  EXPECT_EQ(old_fn(Value(0)).as_int(), 1);
+  EXPECT_THROW((void)cxpool::lookup_function("pool_no_such_fn"),
+               std::out_of_range);
+}
+
 }  // namespace

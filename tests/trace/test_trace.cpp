@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/charm.hpp"
 #include "model/cpy.hpp"
@@ -295,6 +298,104 @@ TEST(Trace, DynamicDispatchAndPoolEventsAreRecorded) {
     cx::exit();
   });
   EXPECT_GE(trace::aggregate().dyn_dispatches, 4u);
+}
+
+// ---- per-thread counter slots -----------------------------------------------
+
+constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// Count `n` envelopes and 2n when-tests on the calling thread's slot.
+void count_on_this_thread(std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    trace::detail::wire_local().envelopes.fetch_add(1, kRelaxed);
+    trace::detail::when_local().tests.fetch_add(2, kRelaxed);
+  }
+}
+
+void spin_until(const std::atomic<int>& v, int want) {
+  while (v.load() < want) std::this_thread::yield();
+}
+
+TEST(CounterSlots, TotalsAreExactAcrossLiveAndExitedThreads) {
+  trace::reset_wire_stats();
+  trace::reset_when_stats();
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 10'000;
+  std::atomic<int> counted{0};
+  std::atomic<int> release{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      count_on_this_thread(kAdds);
+      trace::detail::when_local().raise_high_water(100 + t);
+      counted.fetch_add(1);
+      if (t % 2 == 1) spin_until(release, 1);  // odd threads stay alive
+    });
+  }
+  spin_until(counted, kThreads);
+  threads[0].join();
+  threads[2].join();
+  // Two slots live, two folded into the retired total.
+  EXPECT_EQ(trace::wire_stats().envelopes, kThreads * kAdds);
+  EXPECT_EQ(trace::when_stats().tests, 2 * kThreads * kAdds);
+  EXPECT_EQ(trace::when_stats().high_water, 100u + kThreads - 1);
+  release.store(1);
+  threads[1].join();
+  threads[3].join();
+  EXPECT_EQ(trace::wire_stats().envelopes, kThreads * kAdds);
+  EXPECT_EQ(trace::when_stats().tests, 2 * kThreads * kAdds);
+  EXPECT_EQ(trace::when_stats().high_water, 100u + kThreads - 1);
+}
+
+TEST(CounterSlots, ResetZeroesEverySlot) {
+  constexpr int kThreads = 4;
+  std::atomic<int> counted{0};
+  std::atomic<int> phase{0};
+  std::vector<std::thread> threads;
+  std::thread exited([] {
+    count_on_this_thread(5);
+    trace::detail::when_local().raise_high_water(9);
+  });
+  exited.join();  // its counts sit in the retired total
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      count_on_this_thread(5);
+      trace::detail::when_local().raise_high_water(7);
+      counted.fetch_add(1);
+      spin_until(phase, 1);
+      count_on_this_thread(3);
+      counted.fetch_add(1);
+    });
+  }
+  spin_until(counted, kThreads);
+  trace::reset_wire_stats();
+  trace::reset_when_stats();
+  EXPECT_EQ(trace::wire_stats().envelopes, 0u);
+  EXPECT_EQ(trace::when_stats().tests, 0u);
+  EXPECT_EQ(trace::when_stats().high_water, 0u);
+  phase.store(1);
+  spin_until(counted, 2 * kThreads);
+  EXPECT_EQ(trace::wire_stats().envelopes, 3u * kThreads);
+  EXPECT_EQ(trace::when_stats().tests, 6u * kThreads);
+  EXPECT_EQ(trace::when_stats().high_water, 0u);
+  for (auto& t : threads) t.join();
+}
+
+TEST(CounterSlots, RuntimeCyclesReuseExitedThreadsSlots) {
+  const auto cycle = [] {
+    run_program(threaded_cfg(4), [] {
+      auto echo = cx::create_chare<Echo>(3);
+      (void)echo.call<&Echo::get>().get();
+      cx::exit();
+    });
+  };
+  cycle();
+  const std::size_t slots = trace::detail::counter_slots();
+  for (int i = 0; i < 200; ++i) cycle();
+  // Each run's PE threads hand their slots back when they exit, so the
+  // next run's threads reuse them.
+  EXPECT_LE(trace::detail::counter_slots(), slots);
+  EXPECT_GT(trace::wire_stats().envelopes, 0u);
 }
 
 }  // namespace
