@@ -100,6 +100,7 @@ Link::Link(ThreadedMachine& m, const SocketParams& p)
       peer.shm = std::move(segs[i]);
       peer.tx = peer.shm.tx();
       peer.rx = peer.shm.rx();
+      peer.rx_open = static_cast<bool>(peer.rx);
     }
   }
 
@@ -133,6 +134,11 @@ void Link::start() {
 }
 
 void Link::finish() {
+  // A peer that met this rank's EOF before any Stop would declare its PEs
+  // failed. Rings are read before connection events and TCP delivers
+  // data before its EOF, so a peer reads this Stop first; a second Stop
+  // (after the one stop() broadcast) is a no-op there.
+  broadcast(cxnet::ControlOp::Stop, -1);
   comm_stop_.store(true, std::memory_order_release);
   wake_comm();
   comm_thread_.join();
@@ -378,7 +384,10 @@ void Link::read_peer(int rank) {
     if (r > 0) {
       const auto got = static_cast<std::size_t>(r);
       if (in_place) p.reader.commit(got);
-      if (!drain_frames(rank, chunk, in_place ? 0 : got)) return;
+      if (!drain_frames(rank, chunk, in_place ? 0 : got)) {
+        peer_down(rank, "protocol violation: " + p.reader.error());
+        return;
+      }
       if (got < want) return;  // the socket is drained
       continue;
     }
@@ -394,19 +403,37 @@ void Link::read_peer(int rank) {
   }
 }
 
-void Link::read_ring(int rank) {
+void Link::read_ring(int rank, bool all) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  // An empty ring costs no write to the flag a polling PE reads.
+  if (!p.rx_open || (!all && p.rx.pending() == 0)) return;
+  // A PE holds `reading` for a few small frames at most.
+  while (p.reading.exchange(true, std::memory_order_acquire)) {
+    if (!all) return;  // the comm loop comes back for what the PE leaves
+    std::this_thread::yield();
+  }
+  const std::string why = drain_ring(rank, all);
+  // The rest of a frame begun here is ours; the next frame may be a PE's.
+  p.comm_turn.store(!p.reader.between_frames(), std::memory_order_relaxed);
+  p.reading.store(false, std::memory_order_release);
+  // A PE that takes `reading` in between finds the bad index or the
+  // failed reader and leaves them alone; peer_down waits it out.
+  if (!why.empty()) peer_down(rank, why);
+}
+
+std::string Link::drain_ring(int rank, bool all) {
   Peer& p = peers_[static_cast<std::size_t>(rank)];
   // At most one ring's worth per call, so a streaming peer cannot starve
   // the others; the comm loop comes back for the rest.
   std::size_t budget = cxnet::kRingBytes;
-  while (p.rx && budget > 0) {
+  const bool leave = !all && pollers_.load(std::memory_order_relaxed) > 0;
+  while (budget > 0) {
     const std::ptrdiff_t avail = p.rx.available();
     if (avail < 0) {
       count(wire_local().net_decode_errors);
-      peer_down(rank, "protocol violation: ring tail out of range");
-      return;
+      return "protocol violation: ring tail out of range";
     }
-    if (avail == 0) return;
+    if (avail == 0) break;
     // Mid-payload, copy straight into the frame's Message; otherwise
     // decode in place from the ring (small frames, or a large frame's
     // head). Either way a read chunk at a time, released at once, so the
@@ -425,15 +452,89 @@ void Link::read_ring(int rank) {
       n = run.size();
       ok = drain_frames(rank, run.data(), n);
     }
+    if (!ok) return "protocol violation: " + p.reader.error();
     budget -= n;
-    if (!ok) return;  // peer_down emptied p.rx
     if (p.rx.consume(n)) ring_doorbell(p);
+    // Once a frame is done, the frames behind it are a polling PE's.
+    if (leave && p.reader.between_frames()) break;
+  }
+  return {};
+}
+
+void Link::polling(bool on) {
+  pollers_.fetch_add(on ? 1 : -1, std::memory_order_relaxed);
+}
+
+void Link::poll_rings() {
+  for (int r = 0; r < nranks_; ++r) {
+    Peer& p = peers_[static_cast<std::size_t>(r)];
+    // The shared indices first: a ring with nothing to read, or one
+    // whose reader another thread holds, costs no write to `reading`.
+    if (!p.rx) continue;
+    const std::ptrdiff_t pending = p.rx.pending();
+    if (pending < 0) p.comm_turn.store(true, std::memory_order_relaxed);
+    if (pending <= 0 || p.reading.load(std::memory_order_relaxed) ||
+        p.reading.exchange(true, std::memory_order_acquire)) {
+      continue;
+    }
+    if (!take_small_frames(r)) {
+      p.comm_turn.store(true, std::memory_order_relaxed);
+    }
+    p.reading.store(false, std::memory_order_release);
   }
 }
 
-bool Link::rings_ready() const {
+bool Link::take_small_frames(int rank) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  std::size_t budget = kReadChunk;
+  bool poke = false;
+  bool mine = p.reader.between_frames();
+  while (mine) {
+    // Only a whole data frame within the bound, its head checked before
+    // the reader sees it: the reader then cannot fail on it, so every
+    // bad frame or index stays the comm thread's to report.
+    const std::ptrdiff_t avail = p.rx.available();
+    if (avail < 0) mine = false;
+    if (avail < static_cast<std::ptrdiff_t>(cxnet::kFrameHeadBytes)) break;
+    cxnet::FrameHead head;
+    p.rx.copy_out(head.data(), head.size());
+    std::uint32_t len = 0;
+    std::memcpy(&len, head.data(), sizeof(len));
+    const std::size_t total = sizeof(len) + std::size_t{len};
+    mine = head[sizeof(len)] == std::byte{static_cast<std::uint8_t>(
+                                    cxnet::FrameKind::Data)} &&
+           len >= cxnet::kFrameHeaderBytes && total <= kPeFrameMax;
+    // A small frame still arriving is read on a later poll.
+    if (!mine || total > static_cast<std::size_t>(avail) || total > budget) {
+      break;
+    }
+    // One run, or two where the frame wraps the ring's end.
+    cxnet::Frame f;
+    for (std::size_t left = total; left > 0;) {
+      const std::span<const std::byte> run = p.rx.peek(left);
+      const std::byte* q = run.data();
+      std::size_t n = run.size();
+      (void)p.reader.next(q, n, f);
+      left -= run.size();
+      poke = p.rx.consume(run.size()) || poke;
+    }
+    budget -= total;
+    count(wire_local().net_rx_frames);
+    count(wire_local().net_rx_bytes, total);
+    count(wire_local().net_pe_rx_frames);
+    count(wire_local().net_pe_rx_bytes, total);
+    handle_frame(rank, std::move(f));
+  }
+  if (poke) ring_doorbell(p);
+  return mine;
+}
+
+bool Link::rings_ready(bool defer) const {
   for (const Peer& p : peers_) {
-    if (p.rx && p.rx.available() != 0) return true;
+    if (p.rx_open && p.rx.pending() != 0 &&
+        (!defer || p.comm_turn.load(std::memory_order_relaxed))) {
+      return true;
+    }
     if (p.tx_full && p.tx.space() != 0) return true;
   }
   return false;
@@ -442,7 +543,7 @@ bool Link::rings_ready() const {
 void Link::peer_closed(int rank, const std::string& why) {
   // The peer wrote its ring before its connection ended: deliver what
   // is there first, or a Stop or tail ack could be lost.
-  read_ring(rank);
+  read_ring(rank, true);
   peer_down(rank, why);
 }
 
@@ -460,7 +561,6 @@ bool Link::drain_frames(int rank, const std::byte* p, std::size_t n) {
         return true;
       case cxnet::FrameReader::Status::Error:
         count(wire_local().net_decode_errors);
-        peer_down(rank, "protocol violation: " + reader.error());
         return false;
     }
   }
@@ -509,8 +609,14 @@ void Link::peer_down(int rank, const std::string& why) {
     }
     dropped.swap(p.outq);
   }
+  // Take the read side for good, once a PE reading small frames lets go:
+  // no thread reads the ring again (its segment stays mapped until the
+  // Link goes), and no PE rings its doorbell on the fd closed below.
+  while (p.reading.exchange(true, std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  p.rx_open = false;
   p.reader = cxnet::FrameReader{};  // frees a partly received Message
-  p.rx = {};  // the segment stays mapped until the Link goes
   p.tx_full = false;
   if (p.fd.valid()) {
     ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, p.fd.get(), nullptr);
@@ -574,9 +680,11 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
   if (m_.poll_) {
     // Same rule and budget as an idle PE: yield-spin on a zero-timeout
     // wait, so a frame or a wake that comes soon costs no wake-up.
+    // While a PE polls, it reads the rings' small frames itself: only a
+    // frame it left is ours. Before blocking, every byte is.
     const double until = cxu::wall_time() + ThreadedMachine::kPollBudget;
     do {
-      if (rings_ready()) {
+      if (rings_ready(pollers_.load(std::memory_order_relaxed) > 0)) {
         count(wire_local().net_poll_hits);
         return 0;
       }
@@ -592,16 +700,16 @@ int Link::wait_events(epoll_event* events, int cap, int timeout_ms) {
   // ring sleeping and ask every full outbound ring for space, then look
   // at them once more before blocking.
   for (Peer& p : peers_) {
-    if (p.rx) p.rx.set_sleeping(true);
+    if (p.rx_open) p.rx.set_sleeping(true);
     if (p.tx_full) p.tx.want_space();
   }
   int n = 0;
-  if (!rings_ready()) {
+  if (!rings_ready(false)) {
     count(wire_local().net_blocking_waits);
     n = ::epoll_wait(epoll_.get(), events, cap, timeout_ms);
   }
   for (Peer& p : peers_) {
-    if (p.rx) p.rx.set_sleeping(false);
+    if (p.rx_open) p.rx.set_sleeping(false);
   }
   return n;
 }

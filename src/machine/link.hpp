@@ -29,6 +29,21 @@
 // epoll set for a while before it blocks, so neither side of a hop
 // waits on a wake-up.
 //
+// Readers. The consumer side of a peer's inbound ring (the ring's
+// private head and the peer's FrameReader) has one owner at a time, the
+// thread that took the peer's `reading` flag. The comm thread reads
+// everything: control frames, large frames, the rest of a partly read
+// frame, and every decode error. A PE polling for work (only where the
+// PEs poll) takes the flag when it is free and the reader is between
+// frames, and takes complete data frames of at most kPeFrameMax bytes
+// off the ring itself, handing each to its own or a sibling's mailbox;
+// it stops at the first frame it may not take and marks the ring the
+// comm thread's turn, so a small hop costs no hand-off between threads.
+// While a PE polls, the polling comm thread reads only rings marked so,
+// and stops after the frame it finishes; before it blocks it reads
+// every ring that holds bytes. A PE never drops a peer: a bad ring
+// index or frame is the comm thread's to find.
+//
 // Wireup: the launcher (cxrun, or a test harness) listens as the
 // rendezvous root; every rank connects, sends its handshake + data
 // port, and receives the rank->endpoint table, then the ranks build a
@@ -41,7 +56,9 @@
 // declared without new protocol; the frames its ring still holds are
 // read first. A ring index out of range or an undecodable frame drops
 // the peer the same way. Stop, and a kill, hang or revive of a PE,
-// travel to every other rank as control frames.
+// travel to every other rank as control frames. A rank that stops sends
+// every live peer a Stop before it exits, so a peer reads that Stop
+// before the EOF and does not take the exit for a failure.
 
 #include <sys/epoll.h>
 
@@ -61,6 +78,12 @@ namespace cxm {
 
 class ThreadedMachine;
 
+/// The largest frame (head included) a polling PE reads off a ring
+/// itself. Larger frames stay with the comm thread, which copies them
+/// out while the PEs work; the latency gain needs only small frames
+/// (EXPERIMENTS.md, "An idle PE reads its own small frames").
+inline constexpr std::size_t kPeFrameMax = 4096;
+
 class Link {
  public:
   /// Wire up with the other ranks of `p`'s job (a one-rank job only
@@ -73,8 +96,9 @@ class Link {
 
   /// Start the comm thread (Machine::run).
   void start();
-  /// Stop the comm thread once every queued frame is written, waiting
-  /// a bounded grace period for the Stop broadcast and tail acks.
+  /// Tell every live peer this rank stops, then stop the comm thread
+  /// once every queued frame is written, waiting a bounded grace period
+  /// for the Stop frames and tail acks.
   void finish();
 
   /// Send `msg` to its PE's rank: written on the calling thread when
@@ -85,6 +109,13 @@ class Link {
   void ship(MessagePtr msg, bool idle);
   /// Send control `op` about `pe` to every other rank.
   void broadcast(cxnet::ControlOp op, int pe);
+  /// A PE starts (`on`) or stops polling for work. While one polls, the
+  /// polling comm thread leaves the rings' small frames to it.
+  void polling(bool on);
+  /// On a PE polling for work: take the complete small data frames at
+  /// the front of every inbound ring whose reader is free and between
+  /// frames (see "Readers" above).
+  void poll_rings();
 
  private:
   /// One queued frame: its head, then the payload straight from the
@@ -98,15 +129,23 @@ class Link {
   /// `down`. At most one thread writes frames, the one that set
   /// `writing`: a PE writing its own frame, or the comm thread flushing
   /// `outq`; that thread alone touches `out_off` and `tx`, and it writes
-  /// without holding `mu`. `fd` is closed only by peer_down, once no PE
-  /// writes. Everything else is comm-thread-only.
+  /// without holding `mu`. Likewise at most one thread reads the ring,
+  /// the one that took `reading`; it alone touches `rx`'s head and
+  /// `reader`. peer_down takes `reading` for good. `fd` is closed only
+  /// by peer_down, once no PE writes or reads. Everything else is
+  /// comm-thread-only.
   struct Peer {
     std::mutex mu;
     cxnet::Fd fd;
     cxnet::ShmSegment shm;  ///< mapped for the job on a ring pair
     cxnet::RingTx tx;       ///< outbound ring (ring pair only)
-    cxnet::RingRx rx;       ///< inbound ring; emptied by peer_down
+    cxnet::RingRx rx;       ///< inbound ring (ring pair only)
     cxnet::FrameReader reader;
+    std::atomic<bool> reading{false};  ///< a thread owns the read side
+    /// The ring's front is the comm thread's: a frame no PE may take, or
+    /// the rest of one the comm thread began.
+    std::atomic<bool> comm_turn{false};
+    bool rx_open = false;  ///< inbound ring still read (false once down)
     std::deque<OutFrame> outq;
     std::size_t out_off = 0;  ///< bytes of outq.front() already written
     bool writing = false;     ///< a thread owns the write side
@@ -144,15 +183,26 @@ class Link {
   /// Message while one is mid-payload; on a ring pair, drain doorbells.
   void read_peer(int rank);
   /// Read what `rank`'s inbound ring holds, the twin of read_peer.
-  void read_ring(int rank);
-  /// True when some inbound ring has bytes to read, or some full
-  /// outbound ring has room again (or either has a bad index).
-  [[nodiscard]] bool rings_ready() const;
+  /// Unless `all`, leaves the ring to a PE reading it, and stops at a
+  /// frame boundary while PEs poll (they take the small frames behind).
+  void read_ring(int rank, bool all = false);
+  /// read_ring's loop, with `reading` held. Returns why the peer must be
+  /// dropped, or "".
+  std::string drain_ring(int rank, bool all);
+  /// With `reading` held on a polling PE: hand the complete data frames
+  /// of at most kPeFrameMax bytes at the front of `rank`'s ring to
+  /// handle_frame, up to one read chunk. Returns false when it stopped
+  /// at a frame no PE may take (or a bad index).
+  bool take_small_frames(int rank);
+  /// True when some inbound ring has bytes to read (with `defer`, only
+  /// where they are the comm thread's turn), or some full outbound ring
+  /// has room again (or either has a bad index).
+  [[nodiscard]] bool rings_ready(bool defer) const;
   /// `rank`'s connection ended: read what its ring still holds, then
   /// drop it.
   void peer_closed(int rank, const std::string& why);
   /// Hand every frame completed by [p, p + n) to handle_frame. Returns
-  /// false when a protocol violation dropped the peer.
+  /// false on a protocol violation (the reader's error says which).
   bool drain_frames(int rank, const std::byte* p, std::size_t n);
   void handle_frame(int rank, cxnet::Frame f);
   void peer_down(int rank, const std::string& why);
@@ -167,6 +217,7 @@ class Link {
   cxnet::Fd epoll_;
   cxnet::Fd wake_r_, wake_w_;  ///< self-pipe to rouse the comm thread
   std::atomic<bool> comm_stop_{false};
+  std::atomic<int> pollers_{0};  ///< PEs in ThreadedMachine::poll
   std::thread comm_thread_;
 };
 

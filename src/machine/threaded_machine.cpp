@@ -290,12 +290,19 @@ void ThreadedMachine::promote_due(Mailbox& mb, double tnow) {
 }
 
 void ThreadedMachine::poll(Mailbox& mb, std::uint64_t seen, double until) {
-  // Yield, not a pause hint: a PE that has just woken its Link's comm
-  // thread often shares a core with it, and must let it run at once.
-  while (mb.empty() && mb.posts.load(std::memory_order_relaxed) == seen &&
-         now() < until) {
+  if (link_) link_->polling(true);
+  for (;;) {
+    // Small frames from other ranks, read here, skip the comm thread.
+    if (link_) link_->poll_rings();
+    if (!mb.empty() || mb.posts.load(std::memory_order_relaxed) != seen ||
+        now() >= until) {
+      break;
+    }
+    // Yield, not a pause hint: a PE that has just woken its Link's comm
+    // thread often shares a core with it, and must let it run at once.
     std::this_thread::yield();
   }
+  if (link_) link_->polling(false);
 }
 
 void ThreadedMachine::park(Mailbox& mb, std::uint64_t seen, double until,

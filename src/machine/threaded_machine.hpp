@@ -47,7 +47,8 @@
 // A PE sending to another rank while its mailbox holds nothing runnable
 // writes the frame to the socket itself (Link::ship); a busy PE leaves
 // the write to the comm thread, so it never pays a syscall it could
-// have overlapped with work.
+// have overlapped with work. A polling PE likewise reads small frames
+// off the same-host rings itself (Link::poll_rings).
 //
 // Scripted crash/hang at a time is a simulator feature; here PEs die via
 // Machine::inject_kill/inject_hang or a lost connection. A crashed PE
@@ -191,7 +192,8 @@ class ThreadedMachine final : public PipelineMachine {
   /// Push delayed deliveries due by `tnow` onto the queue.
   static void promote_due(Mailbox& mb, double tnow);
   /// Spin until a message or a slow-lane post (other than `seen`)
-  /// arrives, or the machine clock reaches `until`.
+  /// arrives, or the machine clock reaches `until`, reading small frames
+  /// off the Link's rings meanwhile.
   void poll(Mailbox& mb, std::uint64_t seen, double until);
   /// Wait on the cv until a slow-lane post other than `seen` or the
   /// clock reaching `until` — and, when `for_messages`, a message.

@@ -109,6 +109,12 @@ class FrameReader {
   /// frame once its payload is full.
   void commit(std::size_t n) noexcept { have_ += n; }
 
+  /// True before a frame's first byte: no head or payload is open and
+  /// no violation was seen.
+  [[nodiscard]] bool between_frames() const noexcept {
+    return head_have_ == 0 && msg_ == nullptr && error_.empty();
+  }
+
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
 

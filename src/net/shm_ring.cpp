@@ -116,6 +116,15 @@ std::ptrdiff_t RingRx::available() const noexcept {
   return have > kRingBytes ? -1 : static_cast<std::ptrdiff_t>(have);
 }
 
+std::ptrdiff_t RingRx::pending() const noexcept {
+  // Head first: while no consume() runs it is stable, so a later tail
+  // is never more than a ring ahead of it from an honest producer.
+  const std::uint64_t head = at(ctl_->head).load(std::memory_order_acquire);
+  const std::uint64_t have =
+      at(ctl_->tail).load(std::memory_order_acquire) - head;
+  return have > kRingBytes ? -1 : static_cast<std::ptrdiff_t>(have);
+}
+
 std::span<const std::byte> RingRx::peek(std::size_t n) const noexcept {
   const std::size_t pos = head_ & kMask;
   return {data_ + pos, std::min(n, kRingBytes - pos)};

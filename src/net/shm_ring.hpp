@@ -92,7 +92,8 @@ class RingTx {
   std::uint64_t tail_ = 0;
 };
 
-/// Consumer end of a ring. Used by one thread.
+/// Consumer end of a ring. Used by one thread at a time; pending() by
+/// any thread.
 class RingRx {
  public:
   RingRx() = default;
@@ -100,8 +101,14 @@ class RingRx {
   explicit operator bool() const noexcept { return ctl_ != nullptr; }
 
   /// Bytes ready to read, or -1 when the producer's tail is behind the
-  /// head or more than kRingBytes ahead of it.
+  /// head or more than kRingBytes ahead of it. Consumer only.
   [[nodiscard]] std::ptrdiff_t available() const noexcept;
+
+  /// available() from the shared indices alone (the published head, not
+  /// the consumer's private one), so any thread may ask, whoever
+  /// consumes. Exact while no consume() runs; during one it may be
+  /// stale, so it is a hint, and the consumer's available() decides.
+  [[nodiscard]] std::ptrdiff_t pending() const noexcept;
 
   /// The first min(n, bytes to the ring's end) readable bytes, in place.
   /// `n` must not exceed available().

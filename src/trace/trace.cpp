@@ -795,11 +795,13 @@ std::string summary_table() {
        << human_bytes(w.net_pe_bytes) << "), " << w.net_comm_frames
        << " by the comm thread (" << human_bytes(w.net_comm_bytes) << "), "
        << w.net_rx_frames << " received (" << human_bytes(w.net_rx_bytes)
-       << "), " << w.net_partial_writes << " short writes, "
-       << w.net_epollout_arms << " EPOLLOUT arms, " << w.net_wake_pokes
-       << " wake pokes, " << w.net_doorbells << " doorbells, "
-       << w.net_poll_hits << " comm polls hit, " << w.net_blocking_waits
-       << " blocking waits, " << w.net_decode_errors << " decode errors\n";
+       << "), " << w.net_pe_rx_frames << " of them read by PEs ("
+       << human_bytes(w.net_pe_rx_bytes) << "), " << w.net_partial_writes
+       << " short writes, " << w.net_epollout_arms << " EPOLLOUT arms, "
+       << w.net_wake_pokes << " wake pokes, " << w.net_doorbells
+       << " doorbells, " << w.net_poll_hits << " comm polls hit, "
+       << w.net_blocking_waits << " blocking waits, " << w.net_decode_errors
+       << " decode errors\n";
   }
   const SectionStats ss = section_stats();
   if (ss.sections_built + ss.mcasts + ss.contributions > 0) {
@@ -911,6 +913,8 @@ void write_json(std::ostream& os) {
      << ",\"net_blocking_waits\":" << w.net_blocking_waits
      << ",\"net_rx_frames\":" << w.net_rx_frames
      << ",\"net_rx_bytes\":" << w.net_rx_bytes
+     << ",\"net_pe_rx_frames\":" << w.net_pe_rx_frames
+     << ",\"net_pe_rx_bytes\":" << w.net_pe_rx_bytes
      << ",\"net_decode_errors\":" << w.net_decode_errors
      << ",\"net_doorbells\":" << w.net_doorbells << "}";
   const SectionStats sect = section_stats();

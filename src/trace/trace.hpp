@@ -211,9 +211,13 @@ struct WireStats {
   std::uint64_t net_wake_pokes = 0;      ///< writes to the comm thread's pipe
   std::uint64_t net_poll_hits = 0;       ///< comm-thread polls that caught an event
   std::uint64_t net_blocking_waits = 0;  ///< comm-thread blocking epoll_waits
-  // Inbound, through a socket or a shared-memory ring alike.
+  // Inbound, through a socket or a shared-memory ring alike. A polling
+  // PE decodes small data frames off a ring itself; the comm thread
+  // decodes the rest. net_rx_* count both.
   std::uint64_t net_rx_frames = 0;      ///< frames received and decoded
   std::uint64_t net_rx_bytes = 0;       ///< their bytes, heads included
+  std::uint64_t net_pe_rx_frames = 0;   ///< of those, frames a PE decoded
+  std::uint64_t net_pe_rx_bytes = 0;    ///< their bytes, heads included
   std::uint64_t net_decode_errors = 0;  ///< bad frames or ring indices
   std::uint64_t net_doorbells = 0;      ///< poke bytes sent on ring pairs
 
@@ -419,7 +423,8 @@ namespace detail {
   X(net_pe_frames) X(net_pe_bytes) X(net_comm_frames) X(net_comm_bytes) \
   X(net_partial_writes) X(net_epollout_arms) X(net_wake_pokes) \
   X(net_poll_hits) X(net_blocking_waits) X(net_rx_frames) X(net_rx_bytes) \
-  X(net_decode_errors) X(net_doorbells)
+  X(net_pe_rx_frames) X(net_pe_rx_bytes) X(net_decode_errors) \
+  X(net_doorbells)
 
 /// The wire counters of one thread (see my_counters below).
 struct WireAtomics {

@@ -39,6 +39,7 @@
 
 #include "core/charm.hpp"
 #include "ft/ft.hpp"
+#include "machine/link.hpp"
 #include "machine/machine.hpp"
 #include "net/frame.hpp"
 #include "net/shm_ring.hpp"
@@ -838,6 +839,303 @@ TEST(SocketJob, IdlePingPongFramesAreAllWrittenByPes) {
 }
 
 // ---------------------------------------------------------------------------
+// Who reads a frame. A PE polling for work takes the complete data frames
+// of at most kPeFrameMax bytes off its rank's inbound rings itself; the
+// comm thread reads everything else (control frames, large frames, the
+// rest of a partly read one). These two jobs pin both halves: the share
+// PEs read in an idle closed loop, and ordering when the readers mix.
+
+/// The inbound counters one forked rank reports.
+struct ReadReport {
+  std::uint64_t bad = 0;       ///< messages out of order or corrupt
+  std::uint64_t received = 0;  ///< messages that arrived
+  std::uint64_t rx_frames = 0;
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t pe_rx_frames = 0;
+  std::uint64_t pe_rx_bytes = 0;
+  std::uint64_t decode_errors = 0;
+};
+
+ReadReport read_counters() {
+  const cx::trace::WireStats w = cx::trace::wire_stats();
+  ReadReport r;
+  r.rx_frames = w.net_rx_frames;
+  r.rx_bytes = w.net_rx_bytes;
+  r.pe_rx_frames = w.net_pe_rx_frames;
+  r.pe_rx_bytes = w.net_pe_rx_bytes;
+  r.decode_errors = w.net_decode_errors;
+  return r;
+}
+
+/// A closed loop of `rounds` round trips between the one PE of each of
+/// 2 ranks: round v's message carries `size(v)` bytes (v, then zeros)
+/// there and back. One message is in flight, so every frame
+/// arrives while the receiving PE polls for work (2 ranks x (1 PE + comm
+/// thread) fit 4 cores). Returns each rank's counters, read before Stop.
+std::vector<ReadReport> idle_ping_pong(std::uint64_t rounds,
+                                       std::size_t (*size)(std::uint64_t)) {
+  Job job = spawn_ranks(2, 1, [&](int, int wfd) {
+    cx::trace::reset_wire_stats();
+    cxm::MachineConfig cfg;
+    auto m = cxm::make_machine(cfg);
+    std::uint64_t seen = 0;  // touched only by this rank's one PE
+    ReadReport rep;
+    std::uint32_t h = 0;
+    const auto ping = [&](int dst, std::uint64_t v) {
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = h;
+      msg->dst_pe = dst;
+      msg->data.resize_discard(size(v));
+      std::memset(msg->data.data(), 0, msg->data.size());
+      std::memcpy(msg->data.data(), &v, sizeof(v));
+      m->send(std::move(msg));
+    };
+    const auto snapshot = [&] {
+      const std::uint64_t bad = rep.bad;
+      rep = read_counters();
+      rep.bad = bad;
+      rep.received = seen;
+    };
+    h = m->register_handler([&](cxm::MessagePtr msg) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, msg->data.data(), sizeof(v));
+      if (v != seen || msg->data.size() != size(v)) ++rep.bad;
+      ++seen;
+      if (m->current_pe() == 1) {
+        ping(0, v);
+        if (seen == rounds) snapshot();
+      } else if (seen < rounds) {
+        ping(1, seen);
+      } else {
+        snapshot();
+        m->stop();
+      }
+    });
+    const std::uint32_t kick = m->register_handler(
+        [&](cxm::MessagePtr) { ping(1, 0); });
+    if (m->hosts_pe(0)) {
+      auto k = std::make_unique<cxm::Message>();
+      k->handler = kick;
+      k->dst_pe = 0;
+      m->send(std::move(k));
+    }
+    m->run();
+    write_exact(wfd, &rep, sizeof(rep));
+  });
+
+  std::vector<ReadReport> reps(2);
+  for (int r = 0; r < 2; ++r) {
+    ReadReport& rep = reps[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(read_exact(job.out[r], &rep, sizeof(rep))) << "rank " << r;
+    EXPECT_EQ(rep.bad, 0u) << "rank " << r;
+    EXPECT_EQ(rep.received, rounds) << "rank " << r;
+    EXPECT_EQ(rep.rx_frames, rounds) << "rank " << r;
+    EXPECT_EQ(rep.decode_errors, 0u) << "rank " << r;
+  }
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+  return reps;
+}
+
+TEST(SocketJob, IdlePingPongFramesAreReadByPes) {
+  // 8 B round trips: the receiving PE takes each frame off the ring
+  // itself; the comm thread, polling too, leaves a ring's small frames
+  // to a polling PE. On a 4-core VM PEs read 96-100 % of the frames (30
+  // runs), and 82-99 % with three busy loops on the same cores; the
+  // floor is half.
+  constexpr std::uint64_t kRounds = 200;
+  const std::vector<ReadReport> reps =
+      idle_ping_pong(kRounds, [](std::uint64_t) { return std::size_t{8}; });
+  for (int r = 0; r < 2; ++r) {
+    const ReadReport& rep = reps[static_cast<std::size_t>(r)];
+    EXPECT_EQ(rep.rx_bytes, kRounds * (cxnet::kFrameHeadBytes + 8))
+        << "rank " << r;
+    EXPECT_GE(rep.pe_rx_frames * 2, kRounds) << "rank " << r;
+    EXPECT_EQ(rep.pe_rx_bytes, rep.pe_rx_frames * (cxnet::kFrameHeadBytes + 8))
+        << "rank " << r;
+  }
+}
+
+TEST(SocketJob, PesReadFramesUpToTheBoundOnly) {
+  // Frames of exactly kPeFrameMax bytes, head included, alternate with
+  // frames one byte longer: PEs take the first kind and never the
+  // second, so every frame a PE read is exactly kPeFrameMax bytes.
+  constexpr std::uint64_t kRounds = 200;
+  const std::vector<ReadReport> reps =
+      idle_ping_pong(kRounds, [](std::uint64_t v) {
+        return cxm::kPeFrameMax - cxnet::kFrameHeadBytes + v % 2;
+      });
+  for (int r = 0; r < 2; ++r) {
+    const ReadReport& rep = reps[static_cast<std::size_t>(r)];
+    EXPECT_EQ(rep.rx_bytes, kRounds * cxm::kPeFrameMax + kRounds / 2)
+        << "rank " << r;
+    EXPECT_EQ(rep.pe_rx_bytes, rep.pe_rx_frames * cxm::kPeFrameMax)
+        << "rank " << r;
+    EXPECT_GE(rep.pe_rx_frames * 4, kRounds) << "rank " << r;
+  }
+}
+
+/// Rounds of the mixed-read job: each rank sends in every other one.
+constexpr std::uint32_t kReadRounds = 4;
+/// Messages a stream of the mixed-read job keeps in flight.
+constexpr std::uint32_t kReadWindow = 2;
+
+/// 2 ranks x `ppn` PEs. In round r every PE of rank r % 2 streams
+/// numbered messages of every kRingSizes size to each PE of the other
+/// rank, kReadWindow in flight: each one the receiver acknowledges lets
+/// the next go. The receiving PEs, idle between arrivals, poll; frames of
+/// several streams share one ring. PE 0 starts the next round once every
+/// receiver has heard its whole round. Returns each rank's report.
+std::vector<ReadReport> mixed_read_streams(int ppn) {
+  Job job = spawn_ranks(2, ppn, [ppn](int rank, int wfd) {
+    cx::trace::reset_wire_stats();
+    cxm::MachineConfig cfg;
+    auto m = cxm::make_machine(cfg);
+    const int npes = m->num_pes();
+    const auto remote = [&](int pe) { return !m->hosts_pe(pe); };
+    // next[dst][src]: the seq dst expects from src; each row is touched
+    // only by its PE's thread.
+    std::vector<std::vector<std::uint32_t>> next(
+        static_cast<std::size_t>(npes),
+        std::vector<std::uint32_t>(static_cast<std::size_t>(npes), 0));
+    std::atomic<std::uint64_t> bad{0}, received{0};
+    int done = 0;             // PE 0 only
+    std::uint32_t round = 0;  // PE 0 only
+    std::uint32_t h_data = 0, h_ack = 0, h_done = 0, h_kick = 0;
+    const auto send_u32 = [&](std::uint32_t handler, int dst,
+                              std::uint32_t v) {
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = handler;
+      msg->dst_pe = dst;
+      msg->data.resize_discard(sizeof(v));
+      std::memcpy(msg->data.data(), &v, sizeof(v));
+      m->send(std::move(msg));
+    };
+    /// Stream message `seq` from the calling PE to `dst`.
+    const auto send_data = [&](int dst, std::uint32_t seq) {
+      const int me = m->current_pe();
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = h_data;
+      msg->dst_pe = dst;
+      msg->data.resize_discard(kRingSizes[(seq % kStreamMsgs) % kNumRingSizes]);
+      const StreamHead sh{me, seq};
+      std::memcpy(msg->data.data(), &sh, sizeof(sh));
+      for (std::size_t b = sizeof(sh); b < msg->data.size(); ++b) {
+        msg->data.data()[b] = stream_byte(me, dst, seq, b);
+      }
+      m->send(std::move(msg));
+    };
+    const auto kick_senders = [&](std::uint32_t r) {
+      for (int pe = 0; pe < npes; ++pe) {
+        if (pe / ppn == static_cast<int>(r % 2)) send_u32(h_kick, pe, r);
+      }
+    };
+    h_kick = m->register_handler([&](cxm::MessagePtr k) {
+      std::uint32_t r = 0;
+      std::memcpy(&r, k->data.data(), sizeof(r));
+      for (int dst = 0; dst < npes; ++dst) {
+        if (!remote(dst)) continue;
+        for (std::uint32_t i = 0; i < kReadWindow; ++i) {
+          send_data(dst, r / 2 * kStreamMsgs + i);
+        }
+      }
+    });
+    h_ack = m->register_handler([&](cxm::MessagePtr a) {
+      std::uint32_t seq = 0;
+      std::memcpy(&seq, a->data.data(), sizeof(seq));
+      if (seq % kStreamMsgs + kReadWindow < kStreamMsgs) {
+        send_data(a->src_pe, seq + kReadWindow);
+      }
+    });
+    h_data = m->register_handler([&](cxm::MessagePtr msg) {
+      const int me = m->current_pe();
+      StreamHead sh;
+      std::memcpy(&sh, msg->data.data(), sizeof(sh));
+      std::uint32_t* want = next[static_cast<std::size_t>(me)].data();
+      bool ok = sh.seq == want[sh.src] &&
+                msg->data.size() ==
+                    kRingSizes[(sh.seq % kStreamMsgs) % kNumRingSizes];
+      for (std::size_t i = sizeof(sh); ok && i < msg->data.size(); ++i) {
+        ok = msg->data.data()[i] == stream_byte(sh.src, me, sh.seq, i);
+      }
+      if (!ok) bad.fetch_add(1);
+      received.fetch_add(1);
+      send_u32(h_ack, sh.src, sh.seq);
+      want[sh.src] = sh.seq + 1;
+      if (want[sh.src] % kStreamMsgs != 0) return;
+      for (int src = 0; src < npes; ++src) {
+        if (remote(src) && want[src] != want[sh.src]) return;
+      }
+      send_u32(h_done, 0, 0);  // this round is done here
+    });
+    h_done = m->register_handler([&](cxm::MessagePtr) {
+      if (++done < ppn) return;  // every receiver of the round
+      done = 0;
+      if (++round < kReadRounds) {
+        kick_senders(round);
+      } else {
+        m->stop();
+      }
+    });
+    if (rank == 0) kick_senders(0);
+    m->run();
+    ReadReport rep = read_counters();
+    rep.bad = bad.load();
+    rep.received = received.load();
+    write_exact(wfd, &rep, sizeof(rep));
+  });
+
+  std::vector<ReadReport> reps(2);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(read_exact(job.out[r], &reps[r], sizeof(reps[r])))
+        << "rank " << r;
+  }
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+  return reps;
+}
+
+TEST(SocketJob, MixedReadPathsKeepEveryStreamInOrder) {
+  // Small frames reach PEs that poll between entry methods, and the
+  // frames around them (up to 4 MiB + 7) reach the comm thread, so the
+  // two readers take turns on one ring. PEs poll only where the job's
+  // threads fit the cores: 2 x 1 PEs do on 4 cores, 2 x 2 PEs (sibling
+  // deliveries) from 6 on.
+  const unsigned cores = std::thread::hardware_concurrency();
+  for (const int ppn : {1, 2}) {
+    SCOPED_TRACE("2 ranks x " + std::to_string(ppn) + " PEs");
+    const std::vector<ReadReport> reps = mixed_read_streams(ppn);
+    ReadReport sum;
+    for (int r = 0; r < 2; ++r) {
+      const ReadReport& rep = reps[static_cast<std::size_t>(r)];
+      EXPECT_EQ(rep.bad, 0u) << "rank " << r;
+      // Each of the rank's PEs hears half the rounds from every remote PE.
+      EXPECT_EQ(rep.received, std::uint64_t(ppn * ppn) * kStreamMsgs *
+                                  kReadRounds / 2)
+          << "rank " << r;
+      EXPECT_EQ(rep.decode_errors, 0u) << "rank " << r;
+      // PEs take whole frames within the bound only.
+      EXPECT_LE(rep.pe_rx_bytes, rep.pe_rx_frames * cxm::kPeFrameMax)
+          << "rank " << r;
+      sum.pe_rx_frames += rep.pe_rx_frames;
+      sum.rx_bytes += rep.rx_bytes;
+      sum.pe_rx_bytes += rep.pe_rx_bytes;
+    }
+    EXPECT_GE(sum.rx_bytes - sum.pe_rx_bytes, std::uint64_t{4} << 20)
+        << "no large frame was read by a comm thread";
+    if (2u * static_cast<unsigned>(ppn + 1) <= cores) {
+      EXPECT_GT(sum.pe_rx_frames, 0u) << "no frame was read by a PE";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Same-host ranks frame through shared-memory rings, and a pair without a
 // segment frames over TCP. The doorbell tells them apart: a ring write
 // that finds the peer's comm thread blocked pokes it, and the TCP path
@@ -1156,6 +1454,119 @@ TEST(SocketJob, HostileRingIndexDropsPeer) {
     EXPECT_EQ(w.net_rx_frames, 1u);
     EXPECT_EQ(w.net_decode_errors, 1u);
     m.reset();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A rank that exits after Stop. Rank 0 is a real socket-job machine in
+// this process; rank 1 is the test, wiring up by hand with a
+// shared-memory offer. A peer's EOF that follows its Stop frame is an
+// orderly exit, not a failure, and a rank stopped by a peer's Stop still
+// sends every live peer a Stop of its own before it exits, so no third
+// rank can meet its EOF first. An EOF without a Stop is still a failure.
+
+/// Rank 0 of a 2-rank, 1-PE-per-rank job, built in this process, and
+/// the connection and ring segment of the rank 1 the test plays.
+struct HandWiredPair {
+  std::unique_ptr<cxm::Machine> m;
+  std::vector<cxnet::Fd> mesh;
+  std::vector<cxnet::ShmSegment> shm;
+};
+
+HandWiredPair wire_pair() {
+  HandWiredPair w;
+  cxnet::Fd root = cxnet::tcp_listen(0);
+  const std::uint16_t root_port = cxnet::local_port(root.get());
+  std::thread root_thread([&] {
+    try {
+      cxnet::run_root_exchange(root.get(), 2, 1);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "root exchange: " << e.what();
+    }
+  });
+  std::thread rank0([&] {
+    cxm::MachineConfig cfg;
+    cfg.backend = cxm::Backend::Socket;
+    cfg.socket.rank = 0;
+    cfg.socket.nranks = 2;
+    cfg.socket.ppn = 1;
+    cfg.socket.root_port = root_port;
+    try {
+      w.m = cxm::make_machine(cfg);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "rank 0 wireup: " << e.what();
+    }
+  });
+  cxnet::Handshake hs;
+  hs.rank = 1;
+  hs.nranks = 2;
+  hs.ppn = 1;
+  cxnet::Fd data = cxnet::tcp_listen(0);
+  const std::vector<cxnet::Endpoint> table = cxnet::client_rendezvous(
+      "127.0.0.1", root_port, hs, cxnet::local_port(data.get()));
+  w.mesh = cxnet::mesh_wireup(hs, data.get(), table, 30.0, &w.shm);
+  root_thread.join();
+  rank0.join();
+  return w;
+}
+
+TEST(SocketJob, StopBeforeEofIsNoFailure) {
+  enum class Exit { StopThenEof, StopThenWait, EofOnly };
+  for (const Exit how :
+       {Exit::StopThenEof, Exit::StopThenWait, Exit::EofOnly}) {
+    SCOPED_TRACE(how == Exit::StopThenEof    ? "Stop, then EOF at once"
+                 : how == Exit::StopThenWait ? "Stop, EOF after rank 0 ends"
+                                             : "EOF without Stop");
+    HandWiredPair w = wire_pair();
+    ASSERT_NE(w.m, nullptr);
+    ASSERT_TRUE(w.shm[0]) << "rank 0 did not map the offered segment";
+    std::atomic<int> failed_pe{-1};
+    w.m->set_failure_listener([&](const cx::ft::PeFailure& f) {
+      failed_pe.store(f.pe);
+      w.m->stop();
+    });
+    std::atomic<bool> ended{false};
+    std::thread runner([&] {
+      w.m->run();
+      ended.store(true);
+    });
+    if (how != Exit::EofOnly) {
+      const cxnet::FrameHead stop =
+          cxnet::encode_control(cxnet::ControlOp::Stop, -1, 1);
+      cxnet::RingTx tx = w.shm[0].tx();
+      ASSERT_EQ(tx.write(stop, {}), static_cast<std::ptrdiff_t>(stop.size()));
+      const char b = 1;
+      cxnet::send_all(w.mesh[0].get(), &b, 1);
+    }
+    if (how != Exit::StopThenWait) w.mesh[0].reset();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!ended.load() &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(20)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(ended.load()) << "rank 0 did not stop";
+    if (!ended.load()) w.m->stop();
+    runner.join();
+    EXPECT_EQ(failed_pe.load(), how == Exit::EofOnly ? 1 : -1);
+    if (how == Exit::StopThenWait) {
+      // Rank 0 stopped on our Stop and broadcast none; its Link still
+      // wrote one Stop to us before it let its comm thread go.
+      cxnet::RingRx rx = w.shm[0].rx();
+      const std::ptrdiff_t avail = rx.available();
+      ASSERT_GT(avail, 0) << "rank 0 exited without a Stop";
+      std::vector<std::byte> bytes(static_cast<std::size_t>(avail));
+      rx.copy_out(bytes.data(), bytes.size());
+      cxnet::FrameReader reader;
+      std::vector<cxnet::Frame> got;
+      EXPECT_EQ(feed(reader, bytes.data(), bytes.size(), got),
+                Status::NeedMore);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0].kind, cxnet::FrameKind::Control);
+      EXPECT_EQ(got[0].msg->handler,
+                static_cast<std::uint32_t>(cxnet::ControlOp::Stop));
+      w.mesh[0].reset();
+    }
+    w.m.reset();
   }
 }
 
